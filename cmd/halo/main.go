@@ -385,6 +385,9 @@ func cmdRun(args []string) error {
 		if err := json.Unmarshal(data, &doc); err != nil {
 			return err
 		}
+		if err := doc.Validate(); err != nil {
+			return fmt.Errorf("%s: %w", *polPath, err)
+		}
 		pol.Kind = measure.HALO
 		pol.Rewritten = p // the input should already be the rewritten binary
 		pol.NumBits = doc.NumBits

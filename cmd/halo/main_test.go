@@ -90,3 +90,32 @@ func TestProfileMergeSmoke(t *testing.T) {
 		t.Fatal("opt with mismatched profile did not fail")
 	}
 }
+
+// TestRunRejectsBadPolicy checks that `halo run -alloc halo` reports a
+// policy whose bit indices fall outside the group-state vector, or whose
+// num_bits is negative, as an error instead of panicking mid-run.
+func TestRunRejectsBadPolicy(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "art.hbin")
+	w := workloads.MustGet("art")
+	img, err := w.Build(w.TestScale).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bin, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{
+		`{"num_bits":0,"selectors":[{"group":0,"conj":[[64]]}]}`,
+		`{"num_bits":2,"selectors":[{"group":0,"conj":[[0,2]]}]}`,
+		`{"num_bits":-1}`,
+	} {
+		pol := filepath.Join(dir, "bad.policy.json")
+		if err := os.WriteFile(pol, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdRun([]string{"-alloc", "halo", "-policy", pol, bin}); err == nil {
+			t.Errorf("run accepted policy %s", doc)
+		}
+	}
+}

@@ -11,14 +11,16 @@
 //
 // The "adversarial" experiment runs the hostile-heap workload family (the
 // internal/adversary search engine's discovered sequences) through the
-// full pipeline and reports where grouping helps, hurts (REGRESSED) or is
-// defeated, plus a shadow-heap corruption verdict per workload.
+// full pipeline and reports where grouping helps, is neutral, hurts
+// (REGRESSED) or is defeated, plus a shadow-heap corruption verdict per
+// workload.
 //
 // The -json document carries the rendered tables plus one flat result
 // record per measured workload×technique pair (miss reduction, speedup,
 // simulated seconds, ns/op — the wall-clock of one serial measurement
 // run, timed outside the worker pools — and a regressed flag set when the
-// technique increased misses over its baseline), per-workload profiling throughput
+// technique measurably increased misses or time over its baseline),
+// per-workload profiling throughput
 // (events consumed by the training run's profiler and events/sec), a
 // per-workload "synthesis" section (the wall-clock of turning the training
 // profile into groups, selectors and the HDS policy), a "metrics" section

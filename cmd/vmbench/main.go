@@ -1,15 +1,22 @@
 // Command vmbench measures interpreter dispatch throughput: each golden
 // workload's test-scale build is executed by both the reference switch
-// interpreter and the predecoded threaded dispatcher, and the best-of-reps
-// steps/sec and events/sec are reported. It backs the CI dispatch
-// regression guard: with -baseline it compares the fresh numbers against a
-// committed BENCH_vm.json and fails when any workload's threaded-engine
-// events/sec drops by more than -tol percent.
+// interpreter and the predecoded threaded dispatcher, interleaved rep by
+// rep, and the best-of-reps steps/sec and events/sec are reported. It
+// backs the CI dispatch guard: with -baseline it checks the run against a
+// committed BENCH_vm.json and fails when
+//
+//   - a workload's retired steps, delivered events or fused pairs differ
+//     from the baseline's (these counters are the same on any machine, so
+//     any difference is a code change), or
+//   - the threaded engine's steps/sec is less than minSpeedup times the
+//     switch engine's, both measured in this process (a ratio of two
+//     same-machine numbers, so it does not depend on how fast the machine
+//     is).
 //
 // Usage:
 //
 //	vmbench [-reps N] [-workloads a,b] [-out BENCH_vm.json]
-//	        [-baseline BENCH_vm.json] [-tol 20]
+//	        [-baseline BENCH_vm.json]
 package main
 
 import (
@@ -34,8 +41,6 @@ type Result struct {
 	Steps        uint64  `json:"steps"`
 	Events       uint64  `json:"events"`
 	Fused        uint64  `json:"fused"`
-	Triples      uint64  `json:"triples"`       // fused-triple sites in the decoded program
-	Inlined      uint64  `json:"inlined"`       // inlined calls retired during the run
 	TLBHitRate   float64 `json:"tlb_hit_rate"`  // hits / (loads+stores)
 	TLBMissRate  float64 `json:"tlb_miss_rate"` // misses / (loads+stores)
 	NsPerRun     int64   `json:"ns_per_run"`
@@ -111,13 +116,11 @@ func measure(name string, mode vm.DispatchMode) (Result, error) {
 		Steps:        v.Steps(),
 		Events:       sink.n,
 		Fused:        v.Fused(),
-		Inlined:      v.Inlined(),
 		NsPerRun:     ns,
 		StepsPerSec:  float64(v.Steps()) / sec,
 		EventsPerSec: float64(sink.n) / sec,
 	}
 	if mode == vm.DispatchThreaded {
-		res.Triples = uint64(vm.Predecode(p).TripleSites())
 		if acc := v.Loads() + v.Stores(); acc > 0 {
 			miss := v.TLBMisses()
 			hits := acc - miss - v.TLBBypasses()
@@ -128,34 +131,46 @@ func measure(name string, mode vm.DispatchMode) (Result, error) {
 	return res, nil
 }
 
+// minSpeedup is the floor on threaded÷switch steps/sec. BENCH_vm.json
+// records 3.3× (povray) and 4.1× (omnetpp); on a 2-vCPU VM repeated runs
+// of unchanged code ranged 3.1–3.4× on povray. The floor sits below that
+// spread so scheduler noise cannot trip it, while a change that makes the
+// threaded engine a quarter slower on povray still does.
+const minSpeedup = 2.5
+
+var engines = []vm.DispatchMode{vm.DispatchSwitch, vm.DispatchThreaded}
+
 func main() {
 	var (
 		reps     = flag.Int("reps", 5, "repetitions per configuration (best-of wins)")
 		names    = flag.String("workloads", "povray,omnetpp", "comma-separated workloads")
 		out      = flag.String("out", "", "write results as JSON to this file")
-		baseline = flag.String("baseline", "", "compare against a committed BENCH_vm.json")
-		tol      = flag.Float64("tol", 20, "max allowed threaded events/sec regression, percent")
+		baseline = flag.String("baseline", "", "check against a committed BENCH_vm.json")
 	)
 	flag.Parse()
 
 	doc := Doc{Reps: *reps}
 	for _, name := range strings.Split(*names, ",") {
-		for _, mode := range []vm.DispatchMode{vm.DispatchSwitch, vm.DispatchThreaded} {
-			var best Result
-			for i := 0; i < *reps; i++ {
+		// Interleave the engines rep by rep so a slow spell on the machine
+		// hits both, keeping their ratio meaningful.
+		best := make([]Result, len(engines))
+		for i := 0; i < *reps; i++ {
+			for e, mode := range engines {
 				r, err := measure(name, mode)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "vmbench: %v\n", err)
 					os.Exit(1)
 				}
-				if r.EventsPerSec > best.EventsPerSec {
-					best = r
+				if r.EventsPerSec > best[e].EventsPerSec {
+					best[e] = r
 				}
 			}
-			doc.Results = append(doc.Results, best)
-			fmt.Printf("%-10s %-9s %12d steps  %9d fused  %5d triples  %8d inlined  tlb %5.1f%%  %8.2fms  %11.0f steps/s  %11.0f events/s\n",
-				best.Workload, best.Engine, best.Steps, best.Fused, best.Triples, best.Inlined,
-				best.TLBHitRate*100, float64(best.NsPerRun)/1e6, best.StepsPerSec, best.EventsPerSec)
+		}
+		for _, r := range best {
+			doc.Results = append(doc.Results, r)
+			fmt.Printf("%-10s %-9s %12d steps  %9d fused  tlb %5.1f%%  %8.2fms  %11.0f steps/s  %11.0f events/s\n",
+				r.Workload, r.Engine, r.Steps, r.Fused,
+				r.TLBHitRate*100, float64(r.NsPerRun)/1e6, r.StepsPerSec, r.EventsPerSec)
 		}
 	}
 
@@ -173,16 +188,16 @@ func main() {
 	}
 
 	if *baseline != "" {
-		if failed := checkBaseline(doc, *baseline, *tol); failed {
+		if failed := checkBaseline(doc, *baseline); failed {
 			os.Exit(1)
 		}
 	}
 }
 
-// checkBaseline compares threaded-engine events/sec and steps/sec against
-// the committed baseline and reports whether any workload regressed beyond
-// tol percent on either axis.
-func checkBaseline(doc Doc, path string, tol float64) bool {
+// checkBaseline reports whether the run fails the dispatch guard: exact
+// steps/events/fused counters against the committed baseline, and the
+// in-process threaded÷switch steps/sec ratio against minSpeedup.
+func checkBaseline(doc Doc, path string) bool {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vmbench: baseline: %v\n", err)
@@ -193,37 +208,43 @@ func checkBaseline(doc Doc, path string, tol float64) bool {
 		fmt.Fprintf(os.Stderr, "vmbench: baseline: %v\n", err)
 		return true
 	}
-	want := map[string]Result{}
+	type key struct{ workload, engine string }
+	want := map[key]Result{}
 	for _, r := range base.Results {
-		if r.Engine == "threaded" {
-			want[r.Workload] = r
-		}
+		want[key{r.Workload, r.Engine}] = r
 	}
 	failed := false
-	check := func(workload, metric string, baseline, got float64) {
-		if baseline == 0 {
-			return
-		}
-		drop := (baseline - got) / baseline * 100
-		if drop > tol {
-			fmt.Fprintf(os.Stderr, "vmbench: %s threaded %s regressed %.1f%% (%.0f -> %.0f, tol %.0f%%)\n",
-				workload, metric, drop, baseline, got, tol)
+	switchSPS := map[string]float64{}
+	for _, r := range doc.Results {
+		b, ok := want[key{r.Workload, r.Engine}]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "vmbench: %s %s: not in baseline\n", r.Workload, r.Engine)
 			failed = true
-		} else {
-			fmt.Printf("%s: threaded %s within tolerance (%+.1f%% vs baseline)\n",
-				workload, metric, -drop)
+			continue
+		}
+		if r.Steps != b.Steps || r.Events != b.Events || r.Fused != b.Fused {
+			fmt.Fprintf(os.Stderr, "vmbench: %s %s counters changed: steps %d -> %d, events %d -> %d, fused %d -> %d\n",
+				r.Workload, r.Engine, b.Steps, r.Steps, b.Events, r.Events, b.Fused, r.Fused)
+			failed = true
+		}
+		if r.Engine == "switch" {
+			switchSPS[r.Workload] = r.StepsPerSec
 		}
 	}
 	for _, r := range doc.Results {
-		if r.Engine != "threaded" {
+		sw := switchSPS[r.Workload]
+		if r.Engine != "threaded" || sw == 0 {
 			continue
 		}
-		b, ok := want[r.Workload]
-		if !ok {
-			continue
+		ratio := r.StepsPerSec / sw
+		if ratio < minSpeedup {
+			fmt.Fprintf(os.Stderr, "vmbench: %s threaded/switch steps/s %.2fx, below the %.1fx floor\n",
+				r.Workload, ratio, minSpeedup)
+			failed = true
+		} else {
+			fmt.Printf("%s: threaded/switch steps/s %.2fx (floor %.1fx)\n",
+				r.Workload, ratio, minSpeedup)
 		}
-		check(r.Workload, "events/s", b.EventsPerSec, r.EventsPerSec)
-		check(r.Workload, "steps/s", b.StepsPerSec, r.StepsPerSec)
 	}
 	return failed
 }

@@ -8,11 +8,38 @@ import (
 	"halo/internal/workloads"
 )
 
+// below reports whether sample a sits below sample b beyond the noise the
+// trials themselves show: a's 75th percentile is under b's 25th, so the
+// two interquartile ranges do not overlap.
+func below(a, b measure.Quartiles) bool { return a.P75 < b.P25 }
+
+// regressed reports whether s measurably hurt against base: more L1D
+// misses or more cycle-model time, beyond the trials' noise band.
+func regressed(base, s measure.Summary) bool {
+	return below(base.L1DMiss, s.L1DMiss) || below(base.Seconds, s.Seconds)
+}
+
+// verdictOf classifies s against base on both L1D misses and cycle-model
+// time. defeated: grouping never engaged. REGRESSED: either metric
+// measurably worse. helped: either metric measurably better and neither
+// worse. neutral: both differences inside the noise band.
+func verdictOf(base, s measure.Summary) string {
+	switch {
+	case s.Median.GroupedAllocs == 0:
+		return "defeated"
+	case regressed(base, s):
+		return "REGRESSED"
+	case below(s.L1DMiss, base.L1DMiss) || below(s.Seconds, base.Seconds):
+		return "helped"
+	}
+	return "neutral"
+}
+
 // Adversarial evaluates the hostile-heap workload family end to end: each
 // generated scenario runs the full pipeline and is measured HALO vs the
-// jemalloc baseline, reporting where grouping helps, hurts (negative miss
-// reduction, flagged REGRESSED) or is defeated, plus a corruption verdict —
-// the scenario's flattened heap-op stream replayed against the group
+// jemalloc baseline, reporting where grouping helps, is neutral, hurts
+// (REGRESSED) or is defeated (verdictOf), plus a corruption verdict — the
+// scenario's flattened heap-op stream replayed against the group
 // allocator under the shadow-heap oracle, with the workload's own
 // allocator tuning.
 func (e *Engine) Adversarial() (*Table, error) {
@@ -24,7 +51,9 @@ func (e *Engine) Adversarial() (*Table, error) {
 			"speedup (%)", "frag@peak (%)", "verdict", "corruption"},
 	}
 	t.Notes = append(t.Notes,
-		"verdict: helped = positive miss reduction; REGRESSED = grouping added misses; defeated = grouping never engaged",
+		"verdict: a difference counts when the trials' interquartile ranges do not overlap; "+
+			"helped = fewer misses or less time and neither worse; REGRESSED = more misses or more time; "+
+			"neutral = no difference; defeated = grouping never engaged",
 		"corruption: the scenario's heap-op stream replayed under the shadow-heap oracle (clean = zero findings)")
 	rows := make([][]string, len(list))
 	err := e.forEachWorkload(list, func(i int, w workloads.Workload) error {
@@ -42,13 +71,6 @@ func (e *Engine) Adversarial() (*Table, error) {
 		}
 		missRed := measure.Improvement(base.L1DMiss.Median, halo.L1DMiss.Median)
 		speedup := measure.Improvement(base.Seconds.Median, halo.Seconds.Median)
-		verdict := "helped"
-		switch {
-		case halo.Median.GroupedAllocs == 0:
-			verdict = "defeated"
-		case missRed < 0:
-			verdict = "REGRESSED"
-		}
 		corruption := "clean"
 		seq := workloads.AdvSequence(w.Name)
 		if _, err := adversary.ReplayChecked(
@@ -63,7 +85,7 @@ func (e *Engine) Adversarial() (*Table, error) {
 			fmt.Sprintf("%+.2f", missRed),
 			fmt.Sprintf("%+.2f", speedup),
 			fmt.Sprintf("%.1f", halo.Median.FragPct),
-			verdict,
+			verdictOf(base, halo),
 			corruption,
 		}
 		return nil

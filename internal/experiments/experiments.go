@@ -415,9 +415,11 @@ type BenchResult struct {
 	BaselineSeconds  float64 `json:"baseline_seconds"`
 	Seconds          float64 `json:"seconds"`
 	NsPerOp          int64   `json:"ns_per_op"`
-	// Regressed flags results where the technique *hurt*: negative miss
-	// reduction. Easy to misread as noise in a wall of numbers, so it is
-	// surfaced explicitly here and in halobench's rendered table.
+	// Regressed flags results where the technique measurably *hurt*: more
+	// L1D misses or more cycle-model time than the baseline, with the
+	// trials' interquartile ranges apart (the adversarial verdict's rule).
+	// Easy to miss in a wall of numbers, so it is surfaced explicitly here
+	// and in halobench's rendered table.
 	Regressed bool `json:"regressed"`
 }
 
@@ -445,7 +447,7 @@ func (e *Engine) BenchResults() []BenchResult {
 			continue
 		}
 		s := e.sums[k]
-		r := BenchResult{
+		out = append(out, BenchResult{
 			Workload:         name,
 			Technique:        label,
 			MissReductionPct: measure.Improvement(base.L1DMiss.Median, s.L1DMiss.Median),
@@ -453,9 +455,8 @@ func (e *Engine) BenchResults() []BenchResult {
 			BaselineSeconds:  base.Seconds.Median,
 			Seconds:          s.Seconds.Median,
 			NsPerOp:          e.wallNs[k],
-		}
-		r.Regressed = r.MissReductionPct < 0
-		out = append(out, r)
+			Regressed:        regressed(base, s),
+		})
 	}
 	return out
 }

@@ -158,7 +158,7 @@ func (e *Engine) Fig13() (*Table, error) {
 		r := res[w.Name]
 		haloRed := measure.Improvement(r[0].L1DMiss.Median, r[1].L1DMiss.Median)
 		flag := "-"
-		if haloRed < 0 {
+		if below(r[0].L1DMiss, r[1].L1DMiss) {
 			flag = "REGRESSED"
 		}
 		t.Rows = append(t.Rows, []string{
@@ -171,7 +171,7 @@ func (e *Engine) Fig13() (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"positive = fewer misses than the jemalloc-like baseline (paper Figure 13)",
-		"regressed = HALO increased misses on this workload; not noise — see the adversarial experiment")
+		"regressed = HALO increased misses, with the trials' interquartile ranges apart — see the adversarial experiment")
 	return t, nil
 }
 

@@ -99,133 +99,3 @@ func HotDigrams(seq []int64, min int) []Digram {
 	c.Observe(seq)
 	return c.Hot(min)
 }
-
-// Trigram is one adjacent symbol triple with its occurrence weight.
-type Trigram struct {
-	A, B, C int64
-	// Count is the triple's exact occurrence count in the input (capped
-	// inputs aside): every occurrence is attributed to the deepest grammar
-	// rule whose body-level expansion spans it across a symbol boundary,
-	// weighted by that rule's frequency. Rules of terminal length >= 3 are
-	// exactly what surface here — SEQUITUR's grammar proves the repeats.
-	Count int
-}
-
-// TriCounter accumulates hot-trigram counts across several inputs, the
-// length-3 extension of DigramCounter: the VM's predecoder feeds it each
-// function's static opcode stream and fuses the triples it proves hot.
-type TriCounter struct {
-	counts map[[3]int64]int
-}
-
-// NewTriCounter returns an empty accumulator.
-func NewTriCounter() *TriCounter {
-	return &TriCounter{counts: make(map[[3]int64]int)}
-}
-
-// triExpandCap bounds memoised rule expansions; opcode streams are function
-// bodies (< 2^16 instructions), so the cap is never hit in practice.
-const triExpandCap = 1 << 16
-
-// Observe builds the grammar over one input sequence and folds its trigram
-// weights into the accumulator.
-//
-// Counting rule: for each live rule with frequency f, the rule body is
-// expanded one level (nonterminals replaced by their full terminal
-// expansions) and every window of three terminals that is NOT fully inside
-// a single nonterminal's expansion counts f. Windows fully inside a
-// nonterminal are counted when that rule is processed with its own
-// frequency, so each input occurrence is attributed exactly once and the
-// totals equal a naive sliding-window count over the input.
-func (c *TriCounter) Observe(seq []int64) {
-	if len(seq) < 3 {
-		return
-	}
-	g := NewGrammar()
-	for _, v := range seq {
-		g.Append(v)
-	}
-	freq := RuleFreq(g)
-	// Memoised full terminal expansions, indexed by rule number.
-	expansions := make([][]int64, g.NumAssigned())
-	expand := func(num int32) []int64 {
-		if e := expansions[num]; e != nil {
-			return e
-		}
-		e := ExpandRule(g, int(num), triExpandCap)
-		if e == nil {
-			e = ExpandRulePrefix(g, int(num), triExpandCap)
-		}
-		expansions[num] = e
-		return e
-	}
-	// Scratch: the body-level expansion and, per position, the body symbol
-	// ordinal it came from (to detect windows inside one nonterminal).
-	var flat []int64
-	var owner []int32
-	for num := range g.rules {
-		if !g.rules[num].live {
-			continue
-		}
-		f := freq[num]
-		if f == 0 {
-			continue
-		}
-		flat, owner = flat[:0], owner[:0]
-		sym := int32(0)
-		for s := g.firstOf(int32(num)); !g.syms[s].guard; s = g.syms[s].next {
-			if v := g.syms[s].value; v < 0 {
-				for _, t := range expand(ruleOf(v)) {
-					flat = append(flat, t)
-					owner = append(owner, sym)
-				}
-			} else {
-				flat = append(flat, v)
-				owner = append(owner, sym)
-			}
-			sym++
-		}
-		for i := 0; i+2 < len(flat); i++ {
-			// A window with all three positions from one body symbol can only
-			// come from a nonterminal's expansion (terminals contribute one
-			// position each); that is the referenced rule's interior and is
-			// counted under the rule itself.
-			if owner[i] == owner[i+2] {
-				continue
-			}
-			c.counts[[3]int64{flat[i], flat[i+1], flat[i+2]}] += f
-		}
-	}
-}
-
-// Hot returns the accumulated trigrams with Count >= min, hottest first
-// (ties broken by triple value for determinism).
-func (c *TriCounter) Hot(min int) []Trigram {
-	out := make([]Trigram, 0, len(c.counts))
-	for k, n := range c.counts {
-		if n >= min {
-			out = append(out, Trigram{A: k[0], B: k[1], C: k[2], Count: n})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		if out[i].B != out[j].B {
-			return out[i].B < out[j].B
-		}
-		return out[i].C < out[j].C
-	})
-	return out
-}
-
-// HotTrigrams is the single-input convenience: grammar over seq, trigrams
-// with Count >= min, hottest first.
-func HotTrigrams(seq []int64, min int) []Trigram {
-	c := NewTriCounter()
-	c.Observe(seq)
-	return c.Hot(min)
-}

@@ -442,6 +442,9 @@ func buildArtifact(prog *programEntry, req OptimizeRequest, blobs [][]byte, trai
 	for _, sel := range opt.BitSelectors {
 		pol.Selectors = append(pol.Selectors, PolicySel{Group: sel.Group, Conj: sel.Conj})
 	}
+	if err := pol.Validate(); err != nil {
+		return nil, err
+	}
 	polJSON, err := json.MarshalIndent(pol, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("encoding policy: %w", err)

@@ -22,55 +22,36 @@ func fusedName(op dop) string {
 		return "const.store"
 	case dLoadStore:
 		return "load.store"
-	case dConstAddLoad:
-		return "const.add.load"
-	case dLoadCmpBr:
-		return "load.cmp.br"
-	case dAddiLoadAdd:
-		return "addi.load.add"
 	}
 	return fmt.Sprintf("fused(%d)", op)
 }
 
 // DisasmFused renders the program's predecoded stream: the isa.Program
 // disassembly (isa.Program.Disasm) with fused superinstructions shown as
-// single records spanning every component pc, and calls to
-// predecode-inlined callees marked with the callee they replay. It drives
-// the halo CLI's `disasm -fused`, making the fusion and inlining
-// decisions inspectable.
+// single records spanning both component pcs. It drives the halo CLI's
+// `disasm -fused`, making the fusion decisions inspectable.
 func DisasmFused(p *isa.Program) string {
 	dp := Predecode(p)
 	var b strings.Builder
-	fmt.Fprintf(&b, "; program %q  entry=%s  globals=%d  fused=%d/%d  triples=%d  inlined=%d\n",
-		p.Name, p.Funcs[p.Entry].Name, p.Globals, dp.fused, dp.insts, dp.triples, dp.inlined)
+	fmt.Fprintf(&b, "; program %q  entry=%s  globals=%d  fused=%d/%d\n",
+		p.Name, p.Funcs[p.Entry].Name, p.Globals, dp.fused, dp.insts)
 	for fi, f := range p.Funcs {
 		fc := &dp.funcs[fi]
 		lib := ""
 		if f.Lib {
 			lib = " [lib]"
 		}
-		if dp.inlineBodies[fi] != nil {
-			lib += " [inline]"
-		}
-		fmt.Fprintf(&b, "\nfunc %s(%d)%s  ; #%d, %d regs, %d fused, %d triples, %d inlined\n",
-			f.Name, f.NParams, lib, fi, f.NRegs, fc.fused, fc.triples, fc.inlined)
+		fmt.Fprintf(&b, "\nfunc %s(%d)%s  ; #%d, %d regs, %d fused\n",
+			f.Name, f.NParams, lib, fi, f.NRegs, fc.fused)
 		for pc := 0; pc < len(f.Code); pc++ {
 			in := &fc.code[pc]
-			switch {
-			case in.op.isTriple():
-				fmt.Fprintf(&b, "  %4d: fuse[%s] {%s ; %s ; %s}\n", pc, fusedName(in.op),
-					p.DisasmInst(f.Code[pc]), p.DisasmInst(f.Code[pc+1]), p.DisasmInst(f.Code[pc+2]))
-				pc += 2 // trailing components are covered by the fused record
-			case in.op.isFused():
+			if in.op.isFused() {
 				fmt.Fprintf(&b, "  %4d: fuse[%s] {%s ; %s}\n", pc, fusedName(in.op),
 					p.DisasmInst(f.Code[pc]), p.DisasmInst(f.Code[pc+1]))
 				pc++ // the second component is covered by the fused record
-			case in.op == dCallInline:
-				fmt.Fprintf(&b, "  %4d: %s  ; inlined -> %s\n", pc,
-					p.DisasmInst(f.Code[pc]), p.Funcs[in.fn].Name)
-			default:
-				fmt.Fprintf(&b, "  %4d: %s\n", pc, p.DisasmInst(f.Code[pc]))
+				continue
 			}
+			fmt.Fprintf(&b, "  %4d: %s\n", pc, p.DisasmInst(f.Code[pc]))
 		}
 	}
 	return b.String()

@@ -24,6 +24,4 @@ var (
 		"software-TLB hits in the threaded dispatcher (recorded once per run)")
 	mTLBMisses = obs.Default.Counter("halo_vm_tlb_misses_total",
 		"software-TLB misses in the threaded dispatcher (recorded once per run)")
-	mInlinedCalls = obs.Default.Counter("halo_vm_inlined_calls_total",
-		"lib calls executed through a predecode-inlined body (recorded once per run)")
 )

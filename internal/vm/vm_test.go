@@ -159,7 +159,11 @@ func TestLoadStoreAndGlobals(t *testing.T) {
 
 func TestMallocFreeEvents(t *testing.T) {
 	var events []AllocEvent
-	h := &recordHooks{onAlloc: func(ev AllocEvent) { events = append(events, ev) }}
+	sink := sinkFunc(func(ev *Event) {
+		if ev.Kind == EvAlloc {
+			events = append(events, ev.Alloc())
+		}
+	})
 	b := prog.NewBuilder("test")
 	f := b.Func("main", 0)
 	size := f.ConstReg(24)
@@ -175,7 +179,7 @@ func TestMallocFreeEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mem.NewMemory()
-	machine := New(pr, m, newBump(m), NewReplay(pr, h), Config{})
+	machine := New(pr, m, newBump(m), sink, Config{})
 	res, err := machine.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -194,47 +198,30 @@ func TestMallocFreeEvents(t *testing.T) {
 	}
 }
 
-type recordHooks struct {
-	NopHooks
-	onAlloc  func(AllocEvent)
-	onAccess func(addr uint64, size uint8, write bool)
-	onCall   func(site isa.Addr, callee int, fn *isa.Func)
-	onRet    func(callee int, fn *isa.Func)
-}
+// sinkFunc adapts a per-record function to EventSink for tests that
+// observe the stream one event at a time.
+type sinkFunc func(ev *Event)
 
-func (r *recordHooks) OnAlloc(ev AllocEvent) {
-	if r.onAlloc != nil {
-		r.onAlloc(ev)
-	}
-}
-func (r *recordHooks) OnAccess(addr uint64, size uint8, write bool) {
-	if r.onAccess != nil {
-		r.onAccess(addr, size, write)
-	}
-}
-func (r *recordHooks) OnCall(site isa.Addr, callee int, fn *isa.Func) {
-	if r.onCall != nil {
-		r.onCall(site, callee, fn)
-	}
-}
-func (r *recordHooks) OnReturn(callee int, fn *isa.Func) {
-	if r.onRet != nil {
-		r.onRet(callee, fn)
+func (f sinkFunc) ConsumeEvents(batch []Event) {
+	for i := range batch {
+		f(&batch[i])
 	}
 }
 
 func TestCallHooksBalance(t *testing.T) {
 	depth, maxDepth, calls := 0, 0, 0
-	h := &recordHooks{
-		onCall: func(isa.Addr, int, *isa.Func) {
+	sink := sinkFunc(func(ev *Event) {
+		switch ev.Kind {
+		case EvCall:
 			depth++
 			calls++
 			if depth > maxDepth {
 				maxDepth = depth
 			}
-		},
-		onRet: func(int, *isa.Func) { depth-- },
-	}
+		case EvReturn:
+			depth--
+		}
+	})
 	b := prog.NewBuilder("test")
 	leaf := b.Func("leaf", 0)
 	leaf.RetConst(1)
@@ -248,11 +235,11 @@ func TestCallHooksBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mem.NewMemory()
-	if _, err := New(p, m, newBump(m), NewReplay(p, h), Config{}).Run(); err != nil {
+	if _, err := New(p, m, newBump(m), sink, Config{}).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if depth != 0 {
-		t.Fatalf("unbalanced hooks: depth %d", depth)
+		t.Fatalf("unbalanced calls: depth %d", depth)
 	}
 	if calls != 6 || maxDepth != 2 {
 		t.Fatalf("calls=%d maxDepth=%d", calls, maxDepth)
@@ -389,9 +376,11 @@ func TestAccessHookSeesSizes(t *testing.T) {
 		write bool
 	}
 	var got []acc
-	h := &recordHooks{onAccess: func(addr uint64, size uint8, write bool) {
-		got = append(got, acc{size, write})
-	}}
+	sink := sinkFunc(func(ev *Event) {
+		if ev.Kind == EvAccess {
+			got = append(got, acc{ev.Size, ev.Write})
+		}
+	})
 	b := prog.NewBuilder("test")
 	f := b.Func("main", 0)
 	size := f.ConstReg(64)
@@ -406,7 +395,7 @@ func TestAccessHookSeesSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mem.NewMemory()
-	if _, err := New(pr, m, newBump(m), NewReplay(pr, h), Config{}).Run(); err != nil {
+	if _, err := New(pr, m, newBump(m), sink, Config{}).Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []acc{{4, true}, {2, false}}
