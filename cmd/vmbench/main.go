@@ -5,8 +5,8 @@
 // backs the CI dispatch guard: with -baseline it checks the run against a
 // committed BENCH_vm.json and fails when
 //
-//   - a workload's retired steps, delivered events or fused pairs differ
-//     from the baseline's (these counters are the same on any machine, so
+//   - a workload's retired steps or delivered events differ from the
+//     baseline's (these counters are the same on any machine, so
 //     any difference is a code change), or
 //   - the threaded engine's steps/sec is less than minSpeedup times the
 //     switch engine's, both measured in this process (a ratio of two
@@ -32,15 +32,14 @@ import (
 	"halo/internal/workloads"
 )
 
-// Result is one workload × engine throughput record. TLB and fusion
-// figures are threaded-engine properties; they stay zero for the switch
-// engine, which has neither a software TLB nor superinstructions.
+// Result is one workload × engine throughput record. TLB figures are
+// threaded-engine properties; they stay zero for the switch engine, which
+// has no software TLB.
 type Result struct {
 	Workload     string  `json:"workload"`
 	Engine       string  `json:"engine"`
 	Steps        uint64  `json:"steps"`
 	Events       uint64  `json:"events"`
-	Fused        uint64  `json:"fused"`
 	TLBHitRate   float64 `json:"tlb_hit_rate"`  // hits / (loads+stores)
 	TLBMissRate  float64 `json:"tlb_miss_rate"` // misses / (loads+stores)
 	NsPerRun     int64   `json:"ns_per_run"`
@@ -115,7 +114,6 @@ func measure(name string, mode vm.DispatchMode) (Result, error) {
 		Engine:       engine,
 		Steps:        v.Steps(),
 		Events:       sink.n,
-		Fused:        v.Fused(),
 		NsPerRun:     ns,
 		StepsPerSec:  float64(v.Steps()) / sec,
 		EventsPerSec: float64(sink.n) / sec,
@@ -168,8 +166,8 @@ func main() {
 		}
 		for _, r := range best {
 			doc.Results = append(doc.Results, r)
-			fmt.Printf("%-10s %-9s %12d steps  %9d fused  tlb %5.1f%%  %8.2fms  %11.0f steps/s  %11.0f events/s\n",
-				r.Workload, r.Engine, r.Steps, r.Fused,
+			fmt.Printf("%-10s %-9s %12d steps  tlb %5.1f%%  %8.2fms  %11.0f steps/s  %11.0f events/s\n",
+				r.Workload, r.Engine, r.Steps,
 				r.TLBHitRate*100, float64(r.NsPerRun)/1e6, r.StepsPerSec, r.EventsPerSec)
 		}
 	}
@@ -195,7 +193,7 @@ func main() {
 }
 
 // checkBaseline reports whether the run fails the dispatch guard: exact
-// steps/events/fused counters against the committed baseline, and the
+// steps/events counters against the committed baseline, and the
 // in-process threaded÷switch steps/sec ratio against minSpeedup.
 func checkBaseline(doc Doc, path string) bool {
 	data, err := os.ReadFile(path)
@@ -222,9 +220,9 @@ func checkBaseline(doc Doc, path string) bool {
 			failed = true
 			continue
 		}
-		if r.Steps != b.Steps || r.Events != b.Events || r.Fused != b.Fused {
-			fmt.Fprintf(os.Stderr, "vmbench: %s %s counters changed: steps %d -> %d, events %d -> %d, fused %d -> %d\n",
-				r.Workload, r.Engine, b.Steps, r.Steps, b.Events, r.Events, b.Fused, r.Fused)
+		if r.Steps != b.Steps || r.Events != b.Events {
+			fmt.Fprintf(os.Stderr, "vmbench: %s %s counters changed: steps %d -> %d, events %d -> %d\n",
+				r.Workload, r.Engine, b.Steps, r.Steps, b.Events, r.Events)
 			failed = true
 		}
 		if r.Engine == "switch" {

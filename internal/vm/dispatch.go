@@ -1,23 +1,14 @@
 // Threaded dispatch: the predecoded execution core. A handler table
-// indexed by decoded opcode replaces the reference interpreter's giant
-// switch (vm.go), in the style of classic func-table ISA simulators — with
-// the hottest paths kept inline in the loop itself: loads and stores (the
-// event-emit fast path), constants, adds, branches, calls/returns, and all
-// fused superinstructions. Everything else costs one indirect call through
-// the table.
+// indexed by isa opcode replaces the reference interpreter's giant switch
+// (vm.go), in the style of classic func-table ISA simulators — with the
+// hottest paths kept inline in the loop itself: loads and stores (the
+// event-emit fast path), constants, adds, branches, calls and returns.
+// Everything else costs one indirect call through the table.
 //
 // Hot state lives in locals for the whole run — pc, step/load/store
 // counters, the register window — and is written back to the VM and frame
 // only at call boundaries and exits, so the per-instruction loop touches no
 // VM fields except the event buffer.
-//
-// Step-budget contract for fused records: the loop head charges the first
-// component's step, the handler charges the second's. If the budget expires
-// between the halves the handler stops after the first component and
-// resumes at pc+1 — which holds the second component's original decoded
-// form — so the run traps with ErrMaxSteps at exactly the instruction
-// boundary the reference interpreter would, with the identical partial
-// event stream.
 package vm
 
 import (
@@ -40,35 +31,36 @@ var (
 	errModZero = errors.New("mod by zero")
 )
 
-// dtab is the handler table. Slots the loop handles inline are backed by
-// hIllegal for safety; they are never reached through the table.
-var dtab = [dopCount]dhandler{}
+// dtab is the handler table for the opcodes the loop does not handle
+// inline, indexed by isa opcode. Every other slot holds hIllegal: undefined
+// opcodes trap through it, and the inline opcodes never reach the table.
+var dtab [256]dhandler
 
 func init() {
 	for i := range dtab {
 		dtab[i] = hIllegal
 	}
-	dtab[dNop] = hNop
-	dtab[dMov] = hMov
-	dtab[dSub] = hSub
-	dtab[dMul] = hMul
-	dtab[dDiv] = hDiv
-	dtab[dMod] = hMod
-	dtab[dAnd] = hAnd
-	dtab[dOr] = hOr
-	dtab[dXor] = hXor
-	dtab[dShl] = hShl
-	dtab[dShr] = hShr
-	dtab[dEq] = hEq
-	dtab[dNe] = hNe
-	dtab[dLt] = hLt
-	dtab[dLe] = hLe
-	dtab[dGroupSet] = hGroupSet
-	dtab[dGroupClr] = hGroupClr
+	dtab[isa.OpNop] = hNop
+	dtab[isa.OpMov] = hMov
+	dtab[isa.OpSub] = hSub
+	dtab[isa.OpMul] = hMul
+	dtab[isa.OpDiv] = hDiv
+	dtab[isa.OpMod] = hMod
+	dtab[isa.OpAnd] = hAnd
+	dtab[isa.OpOr] = hOr
+	dtab[isa.OpXor] = hXor
+	dtab[isa.OpShl] = hShl
+	dtab[isa.OpShr] = hShr
+	dtab[isa.OpEq] = hEq
+	dtab[isa.OpNe] = hNe
+	dtab[isa.OpLt] = hLt
+	dtab[isa.OpLe] = hLe
+	dtab[isa.OpGroupSet] = hGroupSet
+	dtab[isa.OpGroupClr] = hGroupClr
 }
 
 func hIllegal(v *VM, in *dinst, regs []int64, pc int) (int, error) {
-	return 0, &illegalOp{op: isa.Opcode(in.imm)}
+	return 0, &illegalOp{op: in.op}
 }
 
 // illegalOp formats the reference interpreter's illegal-opcode trap cause.
@@ -283,12 +275,10 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 	limit := v.cfg.MaxSteps
 	sinkOn := v.sink != nil
 	steps, loads, stores := v.steps, v.loads, v.stores
-	fused := v.fused
 	// Counter writeback on every exit path; break inner only re-enters the
 	// outer loop, which never reads them.
 	sync := func() { //halo:hotalloc-ok non-escaping closure, called only below; it never leaves the stack
 		v.steps, v.loads, v.stores = steps, loads, stores
-		v.fused = fused
 	}
 
 	for {
@@ -317,16 +307,16 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 			in := &code[pc]
 			steps++
 			switch in.op {
-			case dConst:
+			case isa.OpConst:
 				regs[in.a] = in.imm
 				pc++
-			case dAdd:
+			case isa.OpAdd:
 				regs[in.a] = regs[in.b] + regs[in.c]
 				pc++
-			case dAddImm:
+			case isa.OpAddImm:
 				regs[in.a] = regs[in.b] + in.imm
 				pc++
-			case dLoad:
+			case isa.OpLoad:
 				addr := uint64(regs[in.b] + in.imm)
 				if sinkOn {
 					// Inlined emit: the hottest observation site.
@@ -338,7 +328,7 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 				loads++
 				regs[in.a] = int64(v.loadFast(addr, in.size))
 				pc++
-			case dStore:
+			case isa.OpStore:
 				addr := uint64(regs[in.b] + in.imm)
 				if sinkOn {
 					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size, Write: true})
@@ -349,145 +339,21 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 				stores++
 				v.storeFast(addr, in.size, uint64(regs[in.a]))
 				pc++
-			case dJmp:
+			case isa.OpJmp:
 				pc = int(in.imm)
-			case dBz:
+			case isa.OpBz:
 				if regs[in.a] == 0 {
 					pc = int(in.imm)
 				} else {
 					pc++
 				}
-			case dBnz:
+			case isa.OpBnz:
 				if regs[in.a] != 0 {
 					pc = int(in.imm)
 				} else {
 					pc++
 				}
-
-			// ---- superinstructions ----
-			case dConstAdd:
-				regs[in.a] = in.imm
-				if steps >= limit {
-					pc++ // budget expired mid-pair; resume at the second component
-					continue
-				}
-				steps++
-				fused++
-				regs[in.a2] = regs[in.b2] + regs[in.c2]
-				pc += 2
-			case dCmpBr:
-				x, y := regs[in.b], regs[in.c]
-				var r int64
-				switch in.ck >> 1 {
-				case ckEq:
-					r = b2i(x == y)
-				case ckNe:
-					r = b2i(x != y)
-				case ckLt:
-					r = b2i(x < y)
-				default:
-					r = b2i(x <= y)
-				}
-				regs[in.a] = r
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				cond := regs[in.a2]
-				take := cond != 0
-				if in.ck&1 == 0 { // bz
-					take = cond == 0
-				}
-				if take {
-					pc = int(in.imm2)
-				} else {
-					pc += 2
-				}
-			case dAddImmLoad:
-				regs[in.a] = regs[in.b] + in.imm
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				addr := uint64(regs[in.b2] + in.imm2)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size2})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				loads++
-				regs[in.a2] = int64(v.loadFast(addr, in.size2))
-				pc += 2
-			case dConstStore:
-				regs[in.a] = in.imm
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				addr := uint64(regs[in.b2] + in.imm2)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size2, Write: true})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				stores++
-				v.storeFast(addr, in.size2, uint64(regs[in.a2]))
-				pc += 2
-			case dLoadStore:
-				addr := uint64(regs[in.b] + in.imm)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				loads++
-				regs[in.a] = int64(v.loadFast(addr, in.size))
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				addr = uint64(regs[in.b2] + in.imm2)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size2, Write: true})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				stores++
-				v.storeFast(addr, in.size2, uint64(regs[in.a2]))
-				pc += 2
-			case dLoadAdd:
-				addr := uint64(regs[in.b] + in.imm)
-				if sinkOn {
-					v.events = append(v.events, Event{Kind: EvAccess, Addr: addr, Size: in.size})
-					if len(v.events) == cap(v.events) {
-						v.flushEvents()
-					}
-				}
-				loads++
-				regs[in.a] = int64(v.loadFast(addr, in.size))
-				if steps >= limit {
-					pc++
-					continue
-				}
-				steps++
-				fused++
-				regs[in.a2] = regs[in.b2] + regs[in.c2]
-				pc += 2
-
-			// ---- control transfers ----
-			case dRet:
+			case isa.OpRet:
 				val := regs[in.a]
 				if f.entry {
 					sync()
@@ -503,10 +369,26 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 				v.regs[pf.base+int(dst)] = val
 				pf.pc = ret
 				break inner
-			case dCall, dCallInd:
+			case isa.OpCall, isa.OpCallInd:
 				var target int32
-				if in.op == dCall {
-					target = in.fn
+				if in.op == isa.OpCall {
+					if in.fn.IsExtern() {
+						f.pc = pc
+						sync()
+						res, err := v.callExtern(f, in.addr, in.b, in.c, regs, in.fn.ExternOf())
+						// The extern may have unmapped, purged or recreated pages.
+						v.tlbFlush()
+						if err != nil {
+							return 0, err
+						}
+						if v.halted {
+							return res, nil
+						}
+						regs[in.a] = res
+						pc++
+						continue
+					}
+					target = int32(in.fn)
 				} else {
 					t := regs[in.d]
 					if t < 0 || t >= int64(len(v.prog.Funcs)) {
@@ -544,21 +426,7 @@ func (v *VM) runThreaded(dp *Decoded) (res int64, err error) {
 					v.emit(Event{Kind: EvCall, Site: in.addr, Fn: target})
 				}
 				break inner
-			case dCallExt:
-				f.pc = pc
-				sync()
-				res, err := v.callExtern(f, in.addr, in.b, in.c, regs, isa.Extern(in.fn))
-				// The extern may have unmapped, purged or recreated pages.
-				v.tlbFlush()
-				if err != nil {
-					return 0, err
-				}
-				if v.halted {
-					return res, nil
-				}
-				regs[in.a] = res
-				pc++
-			case dHalt:
+			case isa.OpHalt:
 				sync()
 				return 0, nil
 			default:

@@ -80,8 +80,8 @@ type DispatchMode uint8
 // Execution engines.
 const (
 	// DispatchThreaded is the default: the program is predecoded once
-	// (predecode.go) and executed by the func-table threaded dispatcher with
-	// superinstruction fusion (dispatch.go).
+	// (predecode.go) and executed by the func-table threaded dispatcher
+	// (dispatch.go).
 	DispatchThreaded DispatchMode = iota
 	// DispatchSwitch is the reference switch interpreter, retained verbatim
 	// as the differential-testing oracle for the threaded engine.
@@ -142,7 +142,6 @@ type VM struct {
 	steps  uint64
 	loads  uint64
 	stores uint64
-	fused  uint64 // superinstruction pairs fully retired
 	halted bool
 
 	// Direct-mapped software TLB for the threaded dispatcher: tlbSize
@@ -227,10 +226,6 @@ func (v *VM) Loads() uint64 { return v.loads }
 // Stores reports executed store instructions.
 func (v *VM) Stores() uint64 { return v.stores }
 
-// Fused reports superinstruction pairs fully retired by the threaded
-// dispatcher; always zero under DispatchSwitch.
-func (v *VM) Fused() uint64 { return v.fused }
-
 // TLBMisses reports software-TLB misses in the threaded dispatcher: loads
 // or stores that had to resolve their page through the memory page map.
 func (v *VM) TLBMisses() uint64 { return v.tlbMiss }
@@ -277,14 +272,10 @@ func (v *VM) Run() (int64, error) {
 	if v.cfg.Dispatch == DispatchSwitch {
 		return v.runSwitch()
 	}
-	startFused := v.fused
 	startAcc := v.loads + v.stores
 	startMiss, startBypass := v.tlbMiss, v.tlbBypass
 	res, err := v.runThreaded(Predecode(v.prog))
 	if obs.Enabled() {
-		if d := v.fused - startFused; d > 0 {
-			mFusedInsts.Add(d)
-		}
 		miss := v.tlbMiss - startMiss
 		if miss > 0 {
 			mTLBMisses.Add(miss)

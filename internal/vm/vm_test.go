@@ -571,3 +571,40 @@ func TestTLBHitAccounting(t *testing.T) {
 		t.Fatalf("hits %d of %d accesses; one-page loop should hit nearly always", hits, acc)
 	}
 }
+
+// purgeAlloc is a bump allocator whose free purges the block's pages, as
+// an allocator returning memory to the OS does.
+type purgeAlloc struct{ *bumpAlloc }
+
+func (a purgeAlloc) Free(p uint64) { a.m.Release(p, a.sizes[p]) }
+
+func TestTLBFlushedAtExtern(t *testing.T) {
+	// An extern may purge pages the TLB still maps. After free releases
+	// the block, a load from it must read the zeros of a fresh page, not
+	// the value a stale TLB entry still points at.
+	b := prog.NewBuilder("test")
+	f := b.Func("main", 0)
+	p := f.Malloc(f.ConstReg(2 * mem.PageSize)) // heap base: page-aligned
+	f.StoreWord(p, 0, f.ConstReg(42))
+	before := f.Reg()
+	f.LoadWord(before, p, 0)
+	f.Free(p)
+	after := f.Reg()
+	f.LoadWord(after, p, 0)
+	r := f.Reg()
+	f.Add(r, after, after)
+	f.Add(r, r, before)
+	f.Ret(r)
+	pg := b.MustBuild()
+	for _, mode := range []DispatchMode{DispatchSwitch, DispatchThreaded} {
+		m := mem.NewMemory()
+		v := New(pg, m, purgeAlloc{newBump(m)}, nil, Config{Dispatch: mode})
+		res, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != 42 {
+			t.Errorf("dispatch=%d: before+2*after = %d, want 42 (the purged page reads 0)", mode, res)
+		}
+	}
+}
