@@ -314,6 +314,7 @@ func BenchmarkProfileThroughput(b *testing.B) {
 		b.StopTimer()
 		perSec := float64(b.N) * float64(len(events)) / b.Elapsed().Seconds()
 		b.ReportMetric(perSec, "events/sec")
+		b.ReportMetric(1e9/perSec, "ns/event")
 		b.ReportMetric(float64(len(events)), "events/op")
 	}
 	for _, name := range []string{"povray", "omnetpp"} {

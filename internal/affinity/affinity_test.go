@@ -5,14 +5,15 @@ import (
 	"testing/quick"
 )
 
-// fakeInter lets tests script co-allocatability conflicts.
+// fakeInter lets tests script co-allocatability conflicts with an
+// allocation log, answering each query by scanning it.
 type fakeInter struct {
-	conflicts map[Ctx][]uint64 // context -> allocation serials
+	ctxOf map[uint64]Ctx // allocation serial -> allocating context
 }
 
-func (f fakeInter) AllocatedBetween(c Ctx, lo, hi uint64) bool {
-	for _, s := range f.conflicts[c] {
-		if s > lo && s < hi {
+func (f fakeInter) AllocatedBetween(s, lo, hi uint64) bool {
+	for x := lo + 1; x < hi; x++ {
+		if c, ok := f.ctxOf[x]; ok && c == f.ctxOf[s] {
 			return true
 		}
 	}
@@ -107,7 +108,7 @@ func TestQueueDoubleCountSuppression(t *testing.T) {
 func TestQueueCoallocatability(t *testing.T) {
 	// Context 1 allocated serial 5 between objects 2 and 8: accesses to
 	// those objects are not affinitive if either endpoint is context 1.
-	inter := fakeInter{conflicts: map[Ctx][]uint64{1: {5}}}
+	inter := fakeInter{ctxOf: map[uint64]Ctx{2: 1, 5: 1, 8: 2, 9: 3}}
 	g := NewGraph()
 	q := NewQueue(64, g, inter)
 	q.Push(acc(2, 1, 8))
@@ -180,6 +181,32 @@ func TestQueueCompactionReleasesBurstMemory(t *testing.T) {
 	}
 	if q.Len() == 0 || q.Len() > 2 {
 		t.Fatalf("live window = %d entries after page-sized accesses", q.Len())
+	}
+}
+
+// TestQueueCompactsInPlace pins the steady state: once the dead prefix
+// triggers compaction, the live window slides to the front of the same
+// backing array, so pushes allocate nothing.
+func TestQueueCompactsInPlace(t *testing.T) {
+	g := NewGraph()
+	q := NewQueue(64, g, nil)
+	serial := uint64(0)
+	push := func() {
+		serial++
+		q.Push(acc(serial, Ctx(serial%4), 8))
+	}
+	for i := 0; i < 5000; i++ {
+		push()
+	}
+	base := &q.entries[:1][0]
+	if allocs := testing.AllocsPerRun(5000, push); allocs != 0 {
+		t.Fatalf("steady-state push allocates %v times", allocs)
+	}
+	if &q.entries[:1][0] != base {
+		t.Fatal("compaction moved the window to a new backing array")
+	}
+	if q.Len() == 0 || q.Len() > 64/8+1 {
+		t.Fatalf("live window = %d entries", q.Len())
 	}
 }
 

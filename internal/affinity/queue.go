@@ -8,11 +8,13 @@ type Access struct {
 	Serial uint64 // the object's allocation serial, for co-allocatability
 }
 
-// Interference answers the co-allocatability constraint: whether a context
-// made any allocation chronologically strictly between two serials. The
-// profiler implements it over its per-context allocation logs.
+// Interference answers the co-allocatability constraint for one endpoint
+// of a candidate pair: whether the context that allocated serial s, which
+// is lo or hi, made another allocation chronologically strictly between
+// lo and hi. The queue only asks about the endpoints' own contexts, so the
+// profiler answers from per-serial same-context links.
 type Interference interface {
-	AllocatedBetween(c Ctx, lo, hi uint64) bool
+	AllocatedBetween(s, lo, hi uint64) bool
 }
 
 // maxDenseObj bounds the dense per-object dedup array. Profiler object
@@ -141,18 +143,21 @@ func (q *Queue) Push(a Access) {
 	q.compact()
 }
 
-// compact bounds the backing array. Two triggers: the dead prefix
-// dominates the slice (the original growth bound), or a bursty phase left
-// capacity far beyond the live window — the second re-allocates at the
-// window size so the burst's memory is actually released.
+// compact bounds the backing array. When a bursty phase left capacity far
+// beyond the live window, the window moves to a new array of its own size
+// so the burst's memory is actually released. Otherwise, once the dead
+// prefix dominates the slice, the live window slides to the front of the
+// same array, so the steady state never allocates.
 func (q *Queue) compact() {
 	live := len(q.entries) - q.head
-	deadPrefix := q.head > 1024 && q.head > live
-	oversized := q.head > 0 && cap(q.entries) >= 4096 && live*4 < cap(q.entries)
-	if !deadPrefix && !oversized {
+	switch {
+	case q.head > 0 && cap(q.entries) >= 4096 && live*4 < cap(q.entries):
+		q.entries = append(q.entries[:0:0], q.entries[q.head:]...)
+	case q.head > 1024 && q.head > live:
+		q.entries = q.entries[:copy(q.entries, q.entries[q.head:])]
+	default:
 		return
 	}
-	q.entries = append(q.entries[:0:0], q.entries[q.head:]...)
 	q.head = 0
 }
 
@@ -175,10 +180,10 @@ func (q *Queue) affinitive(u, v Access) bool {
 		lo, hi = hi, lo
 	}
 	if q.inter != nil && hi > lo+1 {
-		if q.inter.AllocatedBetween(u.Ctx, lo, hi) {
+		if q.inter.AllocatedBetween(u.Serial, lo, hi) {
 			return false
 		}
-		if v.Ctx != u.Ctx && q.inter.AllocatedBetween(v.Ctx, lo, hi) {
+		if v.Ctx != u.Ctx && q.inter.AllocatedBetween(v.Serial, lo, hi) {
 			return false
 		}
 	}

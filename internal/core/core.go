@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"halo/internal/affinity"
 	"halo/internal/alloc"
@@ -200,10 +201,18 @@ func OptimizeFromProfile(p *isa.Program, prof *profile.Profile, cfg Config) (*Op
 }
 
 // AnalyzeHDS runs the hot-data-streams comparison pipeline over a profile
-// recorded with tracing enabled.
+// recorded with tracing enabled. Every traced object serial must be below
+// 2^31, the range of a SEQUITUR terminal; a decoded image that names a
+// larger one is rejected.
 func AnalyzeHDS(prof *profile.Profile, cfg Config) (*hds.Result, error) {
 	if len(prof.Trace) == 0 {
 		return nil, fmt.Errorf("core: profile has no reference trace; enable Profile.RecordTrace")
+	}
+	for i, r := range prof.Trace {
+		if r.Obj > math.MaxInt32 {
+			return nil, fmt.Errorf("core: reference trace element %d names object serial %d, beyond the grammar's terminal range (max %d)",
+				i, r.Obj, math.MaxInt32)
+		}
 	}
 	hc := cfg.HDS
 	if hc.Workers == 0 {

@@ -12,18 +12,48 @@ import (
 	"halo/internal/core"
 	"halo/internal/isa"
 	"halo/internal/policy"
+	"halo/internal/sequitur"
 	"halo/internal/workloads"
 )
 
 // Golden fingerprints of the layout-synthesis stage (grouping, selector
-// identification, selector lowering, and the hot-data-streams policy)
-// recorded from the serial, map-based implementation at commit 0138423.
-// The dense, parallel synthesis pipeline must reproduce them bit for bit
-// at every worker count — synthesis results are a function of the profile
-// alone, never of the machine's core count.
+// identification, selector lowering, and the hot-data-streams policy) for
+// the 11 paper programs. povray and omnetpp were recorded from the serial,
+// map-based implementation at commit 0138423; the other nine at commit
+// 754fc40. The dense, parallel synthesis pipeline must reproduce them bit
+// for bit at every worker count — synthesis results are a function of the
+// profile alone, never of the machine's core count.
 var synthGoldens = map[string]string{
-	"povray":  "bf643192d6d7ca0df84387566607b48be70d20a0b23bb3f894115c3db0b67a91",
-	"omnetpp": "591cd670760e41d2fc4fc86d7c06f6100a97a4ae7910b64517d50bc96b495ce6",
+	"health":   "56db88c52bd7d7d5c2a96a1399602ddb4fc81191e4513909fe713cf7947605dc",
+	"ft":       "2b733b6258a40e5621172f62b05184e83d905f7f2a303278387ae3ff7035ed25",
+	"analyzer": "73c1c719f5742ec1ff3bc34264496b70f4662f3ba59189f4e5a82cb6024ad515",
+	"ammp":     "bad5a9c0eb1f65e3bdf9269fdbdede8c0b5023a0290132515588dc9e66e023fe",
+	"art":      "3b4e03e6778c4c6ee9dd5411f4ffdece27115dcff85ac4f431139426f59334a5",
+	"equake":   "25df6de55b7ca58940aa12ac390abd799bd2add5df1b4463b6372ee4ae8a4168",
+	"povray":   "bf643192d6d7ca0df84387566607b48be70d20a0b23bb3f894115c3db0b67a91",
+	"omnetpp":  "591cd670760e41d2fc4fc86d7c06f6100a97a4ae7910b64517d50bc96b495ce6",
+	"xalanc":   "0eaf202909231ed95a0811271c8a9dbcc7cc3f49769d58e17ec2f45f481b6dee",
+	"leela":    "041d01daa81eac4ffe7548e78e19dfd632ce40631b783a1d8495ca947f1462c5",
+	"roms":     "678efdabf8a26df102922e158983b93447d798587789afde9e598a1aa6d7eb49",
+}
+
+// Golden SEQUITUR grammars over each paper program's recorded reference
+// trace (core.Profile with RecordTrace, the default training seed):
+// sha256 over every live rule's number and body, recorded at commit
+// 754fc40. Rule numbering is part of the fingerprint, so the digram index
+// may change its layout but never which rules form or in which order.
+var grammarGoldens = map[string]string{
+	"health":   "f4b1f2e0e62b956f363d46333a5e178c2b450818bec3aa44cbd3cf43a9ff9859",
+	"ft":       "c30dd9ed90bb8a4c3b51b82429c65e50cc1aff9ca18f5be424774d886867d660",
+	"analyzer": "a860a5ea78310810376d2e92b44380bf633cc8885f903b92b6b010ff39346071",
+	"ammp":     "0f174e5eaa600603f42d35d954d1e6669de8fa06fad93ffb4753ae191c99bb30",
+	"art":      "eebe5232219df1735e352062d1d196d590863142c0274817f2388cc847d71363",
+	"equake":   "29e4cad048708c1a28de1b7bd72349fb382259069d964a1b852c7782061a34d1",
+	"povray":   "cec4638d67a257c55c5b0f8d7c397e0271421b3bd74d5214c426a0614d6816e0",
+	"omnetpp":  "53492503068e869a4e541148e9a54b488c0cbced0dda856504b460bb414f2de4",
+	"xalanc":   "d5ba0a0835f1214547b28191886ea02f30a47c5c1abc8638e98054faa284fff2",
+	"leela":    "2cf715245de92391aa9f0a6140cdd3e5d4cd2f7e1a5dd37d8a1895e9a5681421",
+	"roms":     "b000948f13fa6d97840a6d83735be0a2c16279bdb3587d4f108516019df5937b",
 }
 
 // synthesisFingerprint renders every synthesis artefact into one canonical
@@ -109,6 +139,34 @@ func TestGoldenSynthesis(t *testing.T) {
 					t.Errorf("workers=%d: synthesis fingerprint sha256 = %s, want %s\nfingerprint:\n%s",
 						workers, got, want, fp)
 				}
+			}
+		})
+	}
+}
+
+// TestGoldenGrammars pins the SEQUITUR grammar built over each paper
+// program's reference trace, rule numbers included.
+func TestGoldenGrammars(t *testing.T) {
+	for name, want := range grammarGoldens {
+		t.Run(name, func(t *testing.T) {
+			w := workloads.MustGet(name)
+			cfg := core.Config{}
+			cfg.Profile.RecordTrace = true
+			prof, err := core.Profile(w.Build(w.TestScale), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := sequitur.NewGrammar()
+			for _, r := range prof.Trace {
+				g.Append(int64(r.Obj))
+			}
+			h := sha256.New()
+			for _, r := range g.Rules() {
+				fmt.Fprintf(h, "%d:%v\n", r.Number, r.Body())
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want {
+				t.Errorf("grammar sha256 = %s, want %s (%d rules, %d assigned)",
+					got, want, g.NumRules(), g.NumAssigned())
 			}
 		})
 	}

@@ -12,11 +12,14 @@ import (
 	"halo/internal/workloads"
 )
 
-// Golden values recorded from the seed (pre-batching) engine: the per-event
-// Hooks-dispatch VM at commit 7935e99, running each workload's test-scale
-// build. The batched event engine must reproduce them bit for bit — that is
-// the determinism contract of the event stream (vm/event.go): batching
-// changes delivery granularity, never content or order.
+// Golden values for the 11 paper programs, each running its test-scale
+// build. povray and omnetpp were recorded from the seed (pre-batching)
+// engine: the per-event Hooks-dispatch VM at commit 7935e99. The other nine
+// were recorded at commit 754fc40, before the SEQUITUR digram index and the
+// profiler's co-allocatability links were rewritten. The batched event
+// engine must reproduce them bit for bit — that is the determinism contract
+// of the event stream (vm/event.go): batching changes delivery granularity,
+// never content or order.
 type goldenWorkload struct {
 	name string
 
@@ -37,6 +40,78 @@ type goldenWorkload struct {
 }
 
 var goldens = []goldenWorkload{
+	{
+		name:              "health",
+		profileSHA:        "2a450ef6455581f3fc356125c34ae966c263d94d9aad0bce3e7eb4ccbf254fea",
+		result:            34679332954,
+		steps:             1823337,
+		loads:             409553,
+		stores:            215572,
+		l1dMisses:         150356,
+		l1dAccesses:       625125,
+		cycles:            4051247,
+		trialCyclesMedian: 4058042.5,
+	},
+	{
+		name:              "ft",
+		profileSHA:        "c0dc20d744012b7006e22e9454801ee2b83fa044b327b27731835fcf311364e2",
+		result:            1262108,
+		steps:             906394,
+		loads:             323963,
+		stores:            18754,
+		l1dMisses:         7445,
+		l1dAccesses:       342717,
+		cycles:            707417,
+		trialCyclesMedian: 718226.5,
+	},
+	{
+		name:              "analyzer",
+		profileSHA:        "9592747e7a150b87437b8747215b62306a9a41ce4b2c03103970fbded82b2e28",
+		result:            4734384,
+		steps:             836425,
+		loads:             273009,
+		stores:            56469,
+		l1dMisses:         66299,
+		l1dAccesses:       329478,
+		cycles:            1339433,
+		trialCyclesMedian: 1332714.5,
+	},
+	{
+		name:              "ammp",
+		profileSHA:        "f836c058e6738b9ad2bc6c99027ee0490e1a07b30fcb88cb8e4dc2655be424a7",
+		result:            64689076382,
+		steps:             375232,
+		loads:             142016,
+		stores:            34501,
+		l1dMisses:         36282,
+		l1dAccesses:       176517,
+		cycles:            770110,
+		trialCyclesMedian: 774712,
+	},
+	{
+		name:              "art",
+		profileSHA:        "4134e86cdc6c6262ffe3e199c893fd2153bf39cca219bdf25f0a33fc957ecb7b",
+		result:            3134146129,
+		steps:             709137,
+		loads:             108185,
+		stores:            21322,
+		l1dMisses:         30421,
+		l1dAccesses:       129507,
+		cycles:            784081,
+		trialCyclesMedian: 784081,
+	},
+	{
+		name:              "equake",
+		profileSHA:        "347abe7237b2c9e163e63b29ef5dd820e7a407b7fa4df429a3b12334339dff14",
+		result:            -4947737023310993827,
+		steps:             1058866,
+		loads:             234608,
+		stores:            14976,
+		l1dMisses:         70272,
+		l1dAccesses:       249584,
+		cycles:            1577630,
+		trialCyclesMedian: 1569052,
+	},
 	{
 		name:              "povray",
 		profileSHA:        "1aa6e750d713c99e51c46a33502b639c26ba093d1405669987aeee510ec462a6",
@@ -60,6 +135,42 @@ var goldens = []goldenWorkload{
 		l1dAccesses:       2059192,
 		cycles:            9287376,
 		trialCyclesMedian: 9272469.5,
+	},
+	{
+		name:              "xalanc",
+		profileSHA:        "ae1cc8c2cd80d7a3e3b1a62451991329fe6ef20595f987f628a8a206b75d1fcd",
+		result:            17786417,
+		steps:             662778,
+		loads:             197786,
+		stores:            37614,
+		l1dMisses:         50594,
+		l1dAccesses:       235400,
+		cycles:            1115896,
+		trialCyclesMedian: 1138658.5,
+	},
+	{
+		name:              "leela",
+		profileSHA:        "efefcdeef88391918d4060df841f803e7faea65545d3dcded104051035711be0",
+		result:            -8018425281617996461,
+		steps:             1310575,
+		loads:             168804,
+		stores:            60614,
+		l1dMisses:         2295,
+		l1dAccesses:       229418,
+		cycles:            874660,
+		trialCyclesMedian: 883031,
+	},
+	{
+		name:              "roms",
+		profileSHA:        "38e9654d97b2cc8774fc383ae14f402563aa21c285d69fc67cef1e1b766b9b80",
+		result:            433526814,
+		steps:             6508941,
+		loads:             860328,
+		stores:            61442,
+		l1dMisses:         117158,
+		l1dAccesses:       921770,
+		cycles:            5014098,
+		trialCyclesMedian: 5014096.5,
 	},
 }
 
@@ -168,9 +279,8 @@ func TestGoldenBatchSizeInvariance(t *testing.T) {
 
 // TestGoldenBatchSizeFingerprints pins the absolute profile fingerprints at
 // batch sizes 1, 64 and 4096 for every golden workload: each must hash to
-// the seed engine's recorded image. This is stronger than pairwise
-// invariance — the predecoded threaded dispatcher with superinstruction
-// fusion must reproduce the pre-batching per-event engine's bytes exactly
+// the recorded image. This is stronger than pairwise invariance — the
+// predecoded threaded dispatcher must reproduce the recorded bytes exactly
 // at every delivery granularity.
 func TestGoldenBatchSizeFingerprints(t *testing.T) {
 	for _, g := range goldens {

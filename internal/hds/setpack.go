@@ -118,6 +118,9 @@ func BuildSetsParallel(streams []Stream, objects *Objects, workers int) []Coallo
 		chunks = len(streams)
 	}
 	per := (len(streams) + chunks - 1) / chunks
+	// Rounding per up can leave trailing chunks empty (9 streams over 8
+	// chunks is 5 chunks of 2); drop them so every chunk has a stream.
+	chunks = (len(streams) + per - 1) / per
 	type chunkResult struct {
 		sets []streamSet // indexed by stream offset within the chunk
 		ids  []int32     // backing storage for the spans

@@ -150,3 +150,34 @@ func TestObjectsFromMapDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildSetsParallelFewStreams is the regression test for the chunk
+// split: 9 streams over 8 workers rounds to 2 streams per chunk, so only 5
+// chunks are non-empty and the trailing ones must not be built. Every
+// worker count must reproduce the serial sets.
+func TestBuildSetsParallelFewStreams(t *testing.T) {
+	objects := NewObjects(20)
+	for s := int64(1); s <= 20; s++ {
+		objects.Add(s, ObjectInfo{Site: isa.MakeAddr(1, int(s%7)+1), Size: 16})
+	}
+	var streams []Stream
+	for i := int64(0); i < 9; i++ {
+		streams = append(streams, Stream{Objects: []int64{i + 1, i + 2, i + 9}, Freq: int(i + 2)})
+	}
+	want := BuildSetsParallel(streams, objects, 1)
+	if len(want) == 0 {
+		t.Fatal("no sets built")
+	}
+	for _, workers := range []int{2, 4, 8, 16} {
+		got := BuildSetsParallel(streams, objects, workers)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d sets, want %d", workers, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Benefit != want[i].Benefit || got[i].Streams != want[i].Streams ||
+				len(got[i].Sites) != len(want[i].Sites) {
+				t.Fatalf("workers=%d: set %d = %+v, want %+v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}

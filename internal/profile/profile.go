@@ -19,6 +19,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"halo/internal/affinity"
@@ -120,10 +121,13 @@ type Profiler struct {
 	queue    *affinity.Queue
 	graph    *affinity.Graph
 
-	// serialCtx records the context of every allocation serial (index 0
-	// unused): the global allocation log the co-allocatability check
-	// scans when the serial range is short.
-	serialCtx []affinity.Ctx
+	// prevSame and nextSame link every allocation serial (index 0 unused)
+	// to the previous and next serial issued from the same context:
+	// prevSame is fixed when the serial is issued (0 for a context's
+	// first), nextSame when the context next allocates (MaxUint64 until
+	// then). They answer the co-allocatability check in one load.
+	prevSame []uint64
+	nextSame []uint64
 
 	serial   uint64
 	events   uint64
@@ -145,37 +149,27 @@ type nframe struct {
 func New(p *isa.Program, cfg Config) *Profiler {
 	cfg = cfg.withDefaults()
 	pr := &Profiler{
-		prog:      p,
-		cfg:       cfg,
-		contexts:  newContextTable(),
-		objects:   newObjIndex(),
-		graph:     affinity.NewGraph(),
-		serialCtx: make([]affinity.Ctx, 1, 1024),
+		prog:     p,
+		cfg:      cfg,
+		contexts: newContextTable(),
+		objects:  newObjIndex(),
+		graph:    affinity.NewGraph(),
+		prevSame: make([]uint64, 1, 1024),
+		nextSame: make([]uint64, 1, 1024),
 	}
 	pr.queue = affinity.NewQueue(cfg.AffinityDistance, pr.graph, pr)
 	return pr
 }
 
-// coallocScanWindow is the serial-range length up to which the
-// co-allocatability check scans the global allocation log directly; wider
-// ranges binary-search the context's own serial log instead. Both answer
-// the same membership question, so the cutover is invisible.
-const coallocScanWindow = 64
-
-// AllocatedBetween implements affinity.Interference. Queue traversals ask
-// it about chronologically close pairs most of the time, so short ranges
-// scan the dense serial-to-context log; wide ranges fall back to binary
-// search over the per-context allocation log.
-func (p *Profiler) AllocatedBetween(c affinity.Ctx, lo, hi uint64) bool {
-	if hi-lo <= coallocScanWindow {
-		for s := lo + 1; s < hi; s++ {
-			if p.serialCtx[s] == c {
-				return true
-			}
-		}
-		return false
+// AllocatedBetween implements affinity.Interference: whether the context
+// that allocated endpoint serial s (lo or hi) allocated strictly between
+// lo and hi. That is the case exactly when the context's next allocation
+// after lo, or its previous one before hi, falls inside the range.
+func (p *Profiler) AllocatedBetween(s, lo, hi uint64) bool {
+	if s == lo {
+		return p.nextSame[lo] < hi
 	}
-	return p.contexts.list[c].AllocatedBetween(lo, hi)
+	return p.prevSame[hi] > lo
 }
 
 // ConsumeEvents implements vm.EventSink. Batch order is execution order,
@@ -272,8 +266,14 @@ func (p *Profiler) alloc(ev vm.AllocEvent) {
 	ctx := p.currentContext(ev.Site)
 	p.serial++
 	ctx.Allocs++
+	var prev uint64
+	if n := len(ctx.serials); n > 0 {
+		prev = ctx.serials[n-1]
+		p.nextSame[prev] = p.serial
+	}
 	ctx.serials = append(ctx.serials, p.serial)
-	p.serialCtx = append(p.serialCtx, ctx.ID)
+	p.prevSame = append(p.prevSame, prev)
+	p.nextSame = append(p.nextSame, math.MaxUint64)
 	if ev.Size > p.cfg.MaxObjectSize {
 		return // not a grouping candidate; leave untracked
 	}

@@ -1,6 +1,9 @@
 package profile
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -348,22 +351,87 @@ func TestObjIndexSubGranulePacking(t *testing.T) {
 	}
 }
 
-func TestAllocatedBetween(t *testing.T) {
-	c := &Context{serials: []uint64{5, 10, 20}}
-	cases := []struct {
-		lo, hi uint64
-		want   bool
-	}{
-		{1, 4, false},
-		{1, 6, true},
-		{5, 10, false}, // exclusive bounds
-		{9, 21, true},
-		{20, 30, false},
-		{4, 6, true},
+// TestAllocatedBetweenMatchesAllocationLog checks the profiler's
+// co-allocatability answer against a brute-force scan of the allocation
+// log. Random malloc/realloc/free sequences from a handful of contexts
+// (some allocations too large to track, which still take a serial) are
+// fed through the allocation hook; then every endpoint of every serial
+// pair, including ranges far wider than 64 serials, is queried.
+func TestAllocatedBetweenMatchesAllocationLog(t *testing.T) {
+	b := prog.NewBuilder("t")
+	const nfuncs = 5
+	for i := 0; i < nfuncs; i++ {
+		f := b.Func(fmt.Sprintf("f%d", i), 0)
+		f.RetConst(0)
 	}
-	for _, tc := range cases {
-		if got := c.AllocatedBetween(tc.lo, tc.hi); got != tc.want {
-			t.Errorf("AllocatedBetween(%d,%d) = %v", tc.lo, tc.hi, got)
+	m := b.Func("main", 0)
+	m.RetConst(0)
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := func(ops []uint16) bool {
+		pr := New(p, Config{})
+		var live []uint64
+		next := uint64(0x1000)
+		for _, op := range ops {
+			pr.call(isa.NoAddr, int32(op%nfuncs))
+			size := uint64(op>>3%64) + 1
+			if op%29 == 0 {
+				size = pr.cfg.MaxObjectSize + 1
+			}
+			switch {
+			case op%7 == 0 && len(live) > 0:
+				k := int(op>>5) % len(live)
+				pr.alloc(vm.AllocEvent{Kind: vm.KindFree, Old: live[k]})
+				live = append(live[:k], live[k+1:]...)
+			case op%11 == 0 && len(live) > 0:
+				k := int(op>>5) % len(live)
+				pr.alloc(vm.AllocEvent{Kind: vm.KindRealloc, Old: live[k], Ptr: next, Size: size})
+				live[k] = next
+			default:
+				pr.alloc(vm.AllocEvent{Kind: vm.KindMalloc, Ptr: next, Size: size})
+				live = append(live, next)
+			}
+			next += 4096
+			pr.ret()
 		}
+		// The allocation log: the context of every serial issued.
+		ctxOf := make([]affinity.Ctx, pr.serial+1)
+		for _, c := range pr.contexts.list {
+			for _, s := range c.Serials() {
+				ctxOf[s] = c.ID
+			}
+		}
+		for lo := uint64(1); lo <= pr.serial; lo++ {
+			for hi := lo + 1; hi <= pr.serial; hi++ {
+				for _, s := range []uint64{lo, hi} {
+					want := false
+					for x := lo + 1; x < hi; x++ {
+						if ctxOf[x] == ctxOf[s] {
+							want = true
+							break
+						}
+					}
+					if got := pr.AllocatedBetween(s, lo, hi); got != want {
+						t.Logf("AllocatedBetween(%d, %d, %d) = %v, allocation log says %v", s, lo, hi, got, want)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	// quick's default slices are too short to span wide ranges, so the
+	// sequences are drawn here: 128-256 operations each.
+	gen := func(vals []reflect.Value, r *rand.Rand) {
+		ops := make([]uint16, 128+r.Intn(129))
+		for i := range ops {
+			ops[i] = uint16(r.Uint32())
+		}
+		vals[0] = reflect.ValueOf(ops)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Values: gen}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -89,7 +89,7 @@ func ExpandRulePrefix(g *Grammar, num int, max int) []int64 {
 					return false
 				}
 			} else {
-				out = append(out, v)
+				out = append(out, int64(v))
 			}
 		}
 		return true
@@ -115,7 +115,7 @@ func ExpandRule(g *Grammar, num int, max int) []int64 {
 			if len(out) >= max {
 				return false
 			}
-			out = append(out, v)
+			out = append(out, int64(v))
 		}
 		return true
 	}

@@ -5,26 +5,26 @@
 // (the paper's PLDI '06 comparison technique).
 package sequitur
 
-// This file implements the grammar: linear
-// time, incremental inference of a context-free grammar whose language is
-// exactly the input string, maintaining the digram-uniqueness and
-// rule-utility invariants.
-//
-// The grammar is laid out for the trace-compression fast path. Symbols live
-// in one dense slab addressed by int32 index (with a free list threaded
-// through retired nodes), rules in a slice indexed by rule number (numbers
-// are assigned densely and deleted numbers never reused), and the digram
-// index is a flat open-addressing hash table from symbol-key pairs to slab
-// indices. Nothing in the structure holds a Go pointer, so a terminal
-// append performs no map operations, no allocation in the steady state, and
-// generates no GC write-barrier or scan work.
-
-// symNil and symTomb are digram-table slot sentinels; slab index 0 is
-// reserved so 0 can mean "empty".
-const (
-	symNil  int32 = 0
-	symTomb int32 = -1
+import (
+	"math"
+	"math/bits"
 )
+
+// The grammar is laid out for the trace-compression fast path. Symbols live
+// in one dense slab of 16-byte nodes addressed by int32 index (with a free
+// list threaded through retired nodes), rules in a slice indexed by rule
+// number (numbers are assigned densely and deleted numbers never reused),
+// and the digram index is a flat open-addressing hash table of 16-byte
+// entries, each a packed symbol pair and the slab index of its registered
+// occurrence, so a probe touches one cache line. Every symbol carries a bit
+// saying whether it is that registered occurrence, so unlinking a symbol
+// that owns no entry costs no probe. Nothing in the structure holds a Go
+// pointer, so a terminal append performs no map operations, no allocation
+// in the steady state, and generates no GC write-barrier or scan work.
+
+// symNil is the null slab index; slab index 0 is reserved so 0 can mean
+// "none" in links and "empty" in digram-table entries.
+const symNil int32 = 0
 
 // symbol is a node in a rule body's doubly linked list, addressed by its
 // slab index. A symbol is a terminal (value >= 0), a nonterminal reference
@@ -32,8 +32,11 @@ const (
 // true, value encoding the owning rule the same way).
 type symbol struct {
 	next, prev int32
-	value      int64 // the digram key: terminal value, or -ruleNumber-1
+	value      int32 // the digram key half: terminal value, or -ruleNumber-1
 	guard      bool
+	// reg is set while the digram table's entry for this symbol's digram
+	// (value, next's value) names this symbol as its occurrence.
+	reg bool
 }
 
 // ruleData is a grammar production's slab-side state.
@@ -66,17 +69,17 @@ func NewGrammar() *Grammar {
 	return g
 }
 
-// ntKey encodes a rule number as a digram key (negated, offset, so the
+// ntKey encodes a rule number as a symbol value (negated, offset, so the
 // terminal and nonterminal spaces cannot collide).
-func ntKey(rule int32) int64 { return -int64(rule) - 1 }
+func ntKey(rule int32) int32 { return -rule - 1 }
 
 // ruleOf inverts ntKey.
-func ruleOf(key int64) int32 { return int32(-key - 1) }
+func ruleOf(value int32) int32 { return -value - 1 }
 
 // newSymbol hands out a slab node with the given key.
 //
 //halo:hot
-func (g *Grammar) newSymbol(value int64, guard bool) int32 {
+func (g *Grammar) newSymbol(value int32, guard bool) int32 {
 	i := g.free
 	if i != symNil {
 		g.free = g.syms[i].next
@@ -121,9 +124,7 @@ func (g *Grammar) isNT(i int32) bool { return g.syms[i].value < 0 && !g.syms[i].
 
 // join links left and right, clearing any digram that started at left.
 func (g *Grammar) join(left, right int32) {
-	if g.syms[left].next != symNil {
-		g.deleteDigram(left)
-	}
+	g.deleteDigram(left)
 	g.syms[left].next = right
 	g.syms[right].prev = left
 }
@@ -136,14 +137,30 @@ func (g *Grammar) insertAfter(s, y int32) {
 	g.join(s, y)
 }
 
-// deleteDigram removes the digram table entry starting at s, if it is the
+// deleteDigram removes the digram table entry starting at s, if s is its
 // registered occurrence.
+//
+//halo:hot
 func (g *Grammar) deleteDigram(s int32) {
-	n := g.syms[s].next
-	if g.syms[s].guard || n == symNil || g.syms[n].guard {
+	if !g.syms[s].reg {
 		return
 	}
-	g.digrams.deleteIf(g.syms[s].value, g.syms[n].value, s)
+	g.syms[s].reg = false
+	g.digrams.delete(g.digramKey(s))
+}
+
+// digramKey packs the digram starting at s into a table key.
+func (g *Grammar) digramKey(s int32) uint64 {
+	return packDigram(g.syms[s].value, g.syms[g.syms[s].next].value)
+}
+
+// register makes s the registered occurrence of its digram, replacing
+// (and unmarking) any previous one.
+func (g *Grammar) register(s int32) {
+	if old := g.digrams.put(g.digramKey(s), s); old != symNil {
+		g.syms[old].reg = false
+	}
+	g.syms[s].reg = true
 }
 
 // unlink removes s from its list, updating digrams and rule usage.
@@ -166,8 +183,9 @@ func (g *Grammar) check(s int32) bool {
 	if g.syms[s].guard || g.syms[n].guard {
 		return false
 	}
-	found, existed := g.digrams.getOrInsert(g.syms[s].value, g.syms[n].value, s)
-	if !existed {
+	found := g.digrams.getOrInsert(g.digramKey(s), s)
+	if found == symNil {
+		g.syms[s].reg = true
 		return false
 	}
 	if g.syms[found].next != s {
@@ -188,8 +206,7 @@ func (g *Grammar) match(s, found int32) {
 		r = g.newRule()
 		g.insertAfter(g.lastOf(r), g.copySymbol(s))
 		g.insertAfter(g.lastOf(r), g.copySymbol(g.syms[s].next))
-		f := g.firstOf(r)
-		g.digrams.put(g.syms[f].value, g.syms[g.syms[f].next].value, f)
+		g.register(g.firstOf(r))
 		g.substitute(found, r)
 		g.substitute(s, r)
 	}
@@ -233,20 +250,25 @@ func (g *Grammar) expand(s int32) {
 	g.join(left, f)
 	g.join(l, right)
 	if !g.syms[l].guard && !g.syms[right].guard {
-		g.digrams.put(g.syms[l].value, g.syms[g.syms[l].next].value, l)
+		g.register(l)
 	}
 	g.freeSymbol(s)
 }
 
-// Append feeds the next terminal of the input sequence.
+// Append feeds the next terminal of the input sequence. Terminals must lie
+// in [0, math.MaxInt32], the range a packed digram key holds; Append
+// panics on any other value.
 //
 //halo:hot
 func (g *Grammar) Append(value int64) {
 	if value < 0 {
 		panic("sequitur: terminals must be non-negative") //halo:errfmt-ok negative terminals violate the documented Append contract
 	}
+	if value > math.MaxInt32 {
+		panic("sequitur: terminals must not exceed math.MaxInt32") //halo:errfmt-ok out-of-range terminals violate the documented Append contract
+	}
 	g.length++
-	t := g.newSymbol(value, false)
+	t := g.newSymbol(int32(value), false)
 	g.insertAfter(g.lastOf(0), t)
 	if p := g.syms[g.lastOf(0)].prev; !g.syms[p].guard {
 		g.check(p)
@@ -277,7 +299,7 @@ func (r *Rule) Body() []int64 {
 	g := r.g
 	var out []int64
 	for s := g.firstOf(int32(r.Number)); !g.syms[s].guard; s = g.syms[s].next {
-		out = append(out, g.syms[s].value)
+		out = append(out, int64(g.syms[s].value))
 	}
 	return out
 }
@@ -306,7 +328,7 @@ func (g *Grammar) Expand() []int64 {
 			if v := g.syms[s].value; v < 0 {
 				walk(ruleOf(v))
 			} else {
-				out = append(out, v)
+				out = append(out, int64(v))
 			}
 		}
 	}
@@ -315,135 +337,117 @@ func (g *Grammar) Expand() []int64 {
 }
 
 // digramTable is a flat open-addressing hash table from digrams (the pair
-// of adjacent symbol keys) to the slab index of their registered
-// occurrence. Linear probing with tombstone deletion; growth rehashes the
-// tombstones away. The table holds no Go pointers.
+// of adjacent symbol values, packed into one uint64) to the slab index of
+// their registered occurrence. Linear probing with backward-shift
+// deletion, so there are no tombstones; the load stays at most one half.
+// The table holds no Go pointers.
 type digramTable struct {
-	k0, k1 []int64
-	occ    []int32 // symNil = empty, symTomb = deleted
-	n      int     // live entries
-	used   int     // live + tombstones (probe-chain occupancy)
+	entries []digramEntry
+	shift   uint // 64 - log2(len(entries)), for Fibonacci hashing
+	n       int  // live entries
+}
+
+// digramEntry is one slot: 16 bytes, four to a cache line, so reading an
+// entry never touches two lines.
+type digramEntry struct {
+	key uint64
+	occ int32 // symNil = empty
 }
 
 const digramTableMinCap = 64
 
-// digramMix finalises the digram into a table hash (Murmur3 finaliser over
-// the combined halves).
-func digramMix(a, b int64) uint64 {
-	k := uint64(a)*0x9e3779b97f4a7c15 ^ uint64(b)
-	k ^= k >> 33
-	k *= 0xff51afd7ed558ccd
-	k ^= k >> 33
-	k *= 0xc4ceb9fe1a85ec53
-	k ^= k >> 33
-	return k
-}
+// packDigram packs a digram's two symbol values into a table key.
+func packDigram(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
 
-// findSlot probes for (a, b). On a key hit it returns the entry's slot and
-// true; otherwise it returns the insertion slot — the first tombstone on
-// the probe chain if one was passed, else the terminating empty slot — and
-// false. Callers must have ensured spare capacity first.
-func (t *digramTable) findSlot(a, b int64) (int, bool) {
-	mask := uint64(len(t.occ) - 1)
-	i := digramMix(a, b) & mask
-	slot := -1
-	for t.occ[i] != symNil {
-		if t.occ[i] == symTomb {
-			if slot < 0 {
-				slot = int(i)
-			}
-		} else if t.k0[i] == a && t.k1[i] == b {
-			return int(i), true
-		}
+// home is the key's preferred slot: Fibonacci hashing, the top bits of the
+// key times 2^64/phi.
+func (t *digramTable) home(key uint64) uint64 { return (key * 0x9e3779b97f4a7c15) >> t.shift }
+
+// slot returns the index of key's entry, or of the empty slot that ends
+// its probe run when key is absent.
+func (t *digramTable) slot(key uint64) uint64 {
+	mask := uint64(len(t.entries) - 1)
+	i := t.home(key)
+	for t.entries[i].occ != symNil && t.entries[i].key != key {
 		i = (i + 1) & mask
 	}
-	if slot < 0 {
-		slot = int(i)
-	}
-	return slot, false
+	return i
 }
 
-// insertAt fills an insertion slot returned by findSlot.
-func (t *digramTable) insertAt(i int, a, b int64, s int32) {
-	if t.occ[i] == symNil {
-		t.used++ // a tombstone reuse keeps the probe-chain occupancy
+// getOrInsert returns the registered occurrence of key, or registers s and
+// returns symNil.
+//
+//halo:hot
+func (t *digramTable) getOrInsert(key uint64, s int32) int32 {
+	if 2*(t.n+1) > len(t.entries) {
+		t.grow()
 	}
-	t.k0[i], t.k1[i], t.occ[i] = a, b, s
+	e := &t.entries[t.slot(key)]
+	if e.occ != symNil {
+		return e.occ
+	}
+	*e = digramEntry{key: key, occ: s}
 	t.n++
+	return symNil
 }
 
-// getOrInsert returns the registered occurrence of (a, b), or registers s
-// and reports that no occurrence existed.
-func (t *digramTable) getOrInsert(a, b int64, s int32) (int32, bool) {
-	if t.used*4 >= len(t.occ)*3 {
+// put registers s as the occurrence of key and returns the occurrence it
+// replaced, or symNil.
+func (t *digramTable) put(key uint64, s int32) int32 {
+	if 2*(t.n+1) > len(t.entries) {
 		t.grow()
 	}
-	i, hit := t.findSlot(a, b)
-	if hit {
-		return t.occ[i], true
+	e := &t.entries[t.slot(key)]
+	old := e.occ
+	if old == symNil {
+		e.key = key
+		t.n++
 	}
-	t.insertAt(i, a, b, s)
-	return symNil, false
+	e.occ = s
+	return old
 }
 
-// put registers s as the occurrence of (a, b), replacing any existing one.
-func (t *digramTable) put(a, b int64, s int32) {
-	if t.used*4 >= len(t.occ)*3 {
-		t.grow()
-	}
-	i, hit := t.findSlot(a, b)
-	if hit {
-		t.occ[i] = s
+// delete removes key's entry, if present. Later entries of the probe run
+// shift back into the hole, so every key stays reachable from its home
+// slot without a tombstone.
+//
+//halo:hot
+func (t *digramTable) delete(key uint64) {
+	i := t.slot(key)
+	if t.entries[i].occ == symNil {
 		return
 	}
-	t.insertAt(i, a, b, s)
-}
-
-// deleteIf removes the entry for (a, b) when s is the registered occurrence.
-func (t *digramTable) deleteIf(a, b int64, s int32) {
-	if t.n == 0 {
-		return
-	}
-	mask := uint64(len(t.occ) - 1)
-	i := digramMix(a, b) & mask
-	for t.occ[i] != symNil {
-		if t.occ[i] != symTomb && t.k0[i] == a && t.k1[i] == b {
-			if t.occ[i] == s {
-				t.occ[i] = symTomb
-				t.n--
-			}
-			return
+	t.n--
+	mask := uint64(len(t.entries) - 1)
+	for j := (i + 1) & mask; t.entries[j].occ != symNil; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i only if its home slot is
+		// not cyclically after i.
+		if (j-t.home(t.entries[j].key))&mask >= (j-i)&mask {
+			t.entries[i] = t.entries[j]
+			i = j
 		}
-		i = (i + 1) & mask
 	}
+	t.entries[i].occ = symNil
 }
 
-// grow doubles the table (or compacts it in place when tombstones dominate)
-// and rehashes every live entry.
+// grow doubles the table and reinserts every live entry.
 func (t *digramTable) grow() {
-	newCap := len(t.occ) * 2
-	// If the table is mostly tombstones, rehashing at the same capacity
-	// restores the load factor without doubling memory.
-	if t.n*2 < len(t.occ) && newCap > digramTableMinCap {
-		newCap = len(t.occ)
-	}
+	old := t.entries
+	newCap := 2 * len(old)
 	if newCap < digramTableMinCap {
 		newCap = digramTableMinCap
 	}
-	k0 := make([]int64, newCap)
-	k1 := make([]int64, newCap)
-	occ := make([]int32, newCap)
+	t.entries = make([]digramEntry, newCap)
+	t.shift = uint(64 - bits.TrailingZeros(uint(newCap)))
 	mask := uint64(newCap - 1)
-	for i, s := range t.occ {
-		if s == symNil || s == symTomb {
+	for _, e := range old {
+		if e.occ == symNil {
 			continue
 		}
-		j := digramMix(t.k0[i], t.k1[i]) & mask
-		for occ[j] != symNil {
-			j = (j + 1) & mask
+		i := t.home(e.key)
+		for t.entries[i].occ != symNil {
+			i = (i + 1) & mask
 		}
-		k0[j], k1[j], occ[j] = t.k0[i], t.k1[i], s
+		t.entries[i] = e
 	}
-	t.k0, t.k1, t.occ = k0, k1, occ
-	t.used = t.n
 }

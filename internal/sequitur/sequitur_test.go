@@ -1,6 +1,7 @@
 package sequitur
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -159,13 +160,26 @@ func TestRuleFreqAndLens(t *testing.T) {
 	}
 }
 
-func BenchmarkSequitur(b *testing.B) {
-	var seq []int64
-	for i := 0; i < 10000; i++ {
-		seq = append(seq, int64(i%17), int64(i%5), int64(i%3))
+// TestAppendRejectsOutOfRangeTerminals pins Append's documented contract:
+// terminals outside [0, math.MaxInt32] panic instead of aliasing another
+// terminal in the packed digram key.
+func TestAppendRejectsOutOfRangeTerminals(t *testing.T) {
+	for _, v := range []int64{-1, math.MaxInt32 + 1, 1 << 40, math.MinInt64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Append(%d) did not panic", v)
+				}
+			}()
+			NewGrammar().Append(v)
+		}()
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buildGrammar(seq)
+	g := NewGrammar()
+	seq := []int64{math.MaxInt32, 0, math.MaxInt32, 0, math.MaxInt32}
+	for _, v := range seq {
+		g.Append(v)
+	}
+	if got := g.Expand(); !eq(got, seq) {
+		t.Fatalf("expand = %v, want %v", got, seq)
 	}
 }
