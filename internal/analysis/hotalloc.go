@@ -8,7 +8,8 @@ import (
 
 // Hotalloc enforces the allocation-free contract of functions annotated
 // //halo:hot (the VM dispatch loop, profiler ingest, sequitur slab ops,
-// the affinity edge table and the shadow-span table). Inside a hot
+// the affinity edge table, the shadow-span table and the cache model's
+// event consumer and set lookup). Inside a hot
 // function it flags every construct that introduces an allocation:
 //
 //   - append that can grow a local slice (appending into a reused buffer

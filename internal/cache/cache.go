@@ -1,9 +1,14 @@
 // Package cache simulates the memory hierarchy of the paper's evaluation
-// machine — an Intel Xeon W-2195 with 32 KiB 8-way L1 data caches, 1 MiB
-// 16-way L2 caches, and a 25,344 KiB shared L3 — together with a data TLB
-// and a next-line prefetcher. It substitutes for the hardware performance
-// counters the paper reads: the harness reports L1D misses (Figure 13) and
-// a cycle-based execution-time model (Figures 12, 14, 15).
+// machine, an Intel Xeon W-2195, together with a data TLB and a next-line
+// prefetcher. It substitutes for the hardware performance counters the
+// paper reads: the harness reports L1D misses (Figure 13) and a
+// cycle-based execution-time model (Figures 12, 14, 15).
+//
+// The simulated geometry is 32 KiB 8-way L1D and 1 MiB 16-way L2 caches,
+// as on the W-2195, and a 22,528 KiB 11-way L3: set counts round down to a
+// power of two, so the W-2195's 25,344 KiB L3 (36,864 sets) is modelled
+// with 32,768 sets. The DTLB holds 64 entries (4-way) and the STLB 1,536
+// (12-way).
 //
 // The model is deliberately simple but captures what the paper's
 // optimisation changes: which cache lines and pages the program's heap
@@ -31,13 +36,12 @@ type LevelConfig struct {
 	Latency uint64 // extra cycles charged when the access is satisfied here
 }
 
-// Level is a set-associative, write-allocate cache with LRU replacement.
-type Level struct {
-	cfg   LevelConfig
-	sets  int
-	mask  uint64
-	tags  [][]uint64 // per set, MRU-first line addresses
-	stats LevelStats
+// TLBConfig describes a translation cache level.
+type TLBConfig struct {
+	Entries  int
+	Ways     int
+	PageBits uint
+	Penalty  uint64 // cycles charged when the lookup is satisfied below
 }
 
 // LevelStats counts per-level traffic.
@@ -55,128 +59,82 @@ func (s LevelStats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// NewLevel builds a cache level.
-func NewLevel(cfg LevelConfig) *Level {
-	sets := int(cfg.Size) / LineSize / cfg.Ways
-	if sets <= 0 {
-		sets = 1
-	}
-	// Round sets down to a power of two for cheap indexing.
-	p := 1
-	for p*2 <= sets {
-		p *= 2
-	}
-	l := &Level{cfg: cfg, sets: p, mask: uint64(p - 1)}
-	l.tags = make([][]uint64, p)
-	for i := range l.tags {
-		l.tags[i] = make([]uint64, 0, cfg.Ways)
-	}
-	return l
-}
-
-// access looks up the line (already shifted address) and installs it on
-// miss. Returns true on hit. When an eviction occurs the victim line is
-// returned for lower levels.
-func (l *Level) access(line uint64, count bool) (hit bool) {
-	set := l.tags[line&l.mask]
-	if count {
-		l.stats.Accesses++
-	}
-	for i, t := range set {
-		if t == line {
-			// Move to MRU.
-			copy(set[1:i+1], set[:i])
-			set[0] = line
-			if count {
-				l.stats.Hits++
-			}
-			return true
-		}
-	}
-	if count {
-		l.stats.Misses++
-	}
-	// Install as MRU, evicting LRU if full.
-	if len(set) < l.cfg.Ways {
-		set = append(set, 0)
-	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = line
-	l.tags[line&l.mask] = set
-	return false
-}
-
-// Contains reports whether the line is resident (no state change).
-func (l *Level) Contains(line uint64) bool {
-	for _, t := range l.tags[line&l.mask] {
-		if t == line {
-			return true
-		}
-	}
-	return false
-}
-
-// Stats returns the level's counters.
-func (l *Level) Stats() LevelStats { return l.stats }
-
-// Name returns the level's configured name.
-func (l *Level) Name() string { return l.cfg.Name }
-
-// TLBConfig describes a translation cache level.
-type TLBConfig struct {
-	Entries  int
-	Ways     int
-	PageBits uint
-	Penalty  uint64 // cycles charged when the lookup is satisfied below
-}
-
-// TLB is a set-associative translation cache over page numbers.
-type TLB struct {
-	cfg   TLBConfig
-	sets  int
+// lru is one set-associative structure with LRU replacement: a
+// write-allocate cache level over line numbers, or a TLB over page
+// numbers. Its tags are one flat array of sets*ways entries, set i
+// occupying tags[i*ways : (i+1)*ways] in MRU-first order. A way holds
+// key+1, so the zero value is an empty way and a fresh array needs no fill
+// loop (line numbers, and page numbers of pages larger than a byte, stay
+// below 2^64-1, so key+1 never wraps to zero). Ways fill from the MRU end,
+// so the first empty way ends a set.
+type lru struct {
+	tags  []uint64
+	ways  int
 	mask  uint64
-	tags  [][]uint64
 	stats LevelStats
 }
 
-// NewTLB builds a TLB.
-func NewTLB(cfg TLBConfig) *TLB {
-	sets := cfg.Entries / cfg.Ways
-	if sets <= 0 {
-		sets = 1
-	}
+// newLRU builds a structure of sets x ways, rounding sets down to a power
+// of two for cheap indexing.
+func newLRU(sets, ways int) lru {
 	p := 1
 	for p*2 <= sets {
 		p *= 2
 	}
-	t := &TLB{cfg: cfg, sets: p, mask: uint64(p - 1)}
-	t.tags = make([][]uint64, p)
-	return t
+	return lru{tags: make([]uint64, p*ways), ways: ways, mask: uint64(p - 1)}
 }
 
-func (t *TLB) access(page uint64) bool {
-	set := t.tags[page&t.mask]
-	t.stats.Accesses++
-	for i, tag := range set {
-		if tag == page {
+// set returns the ways of key's set.
+func (c *lru) set(key uint64) []uint64 {
+	i := int(key&c.mask) * c.ways
+	return c.tags[i : i+c.ways : i+c.ways]
+}
+
+// lookup moves key to the MRU way of its set, installing it on a miss by
+// shifting the set down one way (the LRU way falls off a full set). It
+// counts nothing, so prefetch fills use it directly. Returns true on hit.
+//
+//halo:hot
+func (c *lru) lookup(key uint64) bool {
+	set := c.set(key)
+	tag := key + 1
+	for i, t := range set {
+		if t == tag || t == 0 {
 			copy(set[1:i+1], set[:i])
-			set[0] = page
-			t.stats.Hits++
-			return true
+			set[0] = tag
+			return t != 0
 		}
 	}
-	t.stats.Misses++
-	if len(set) < t.cfg.Ways {
-		set = append(set, 0)
-	}
 	copy(set[1:], set[:len(set)-1])
-	set[0] = page
-	t.tags[page&t.mask] = set
+	set[0] = tag
 	return false
 }
 
-// Stats returns the TLB counters.
-func (t *TLB) Stats() LevelStats { return t.stats }
+// access is a counted lookup.
+func (c *lru) access(key uint64) bool {
+	hit := c.lookup(key)
+	c.stats.Accesses++
+	if hit {
+		c.stats.Hits++
+	} else {
+		c.stats.Misses++
+	}
+	return hit
+}
+
+// contains reports whether key is resident, without touching LRU order.
+func (c *lru) contains(key uint64) bool {
+	tag := key + 1
+	for _, t := range c.set(key) {
+		if t == tag {
+			return true
+		}
+		if t == 0 {
+			return false
+		}
+	}
+	return false
+}
 
 // Config describes the whole hierarchy.
 type Config struct {
@@ -191,8 +149,10 @@ type Config struct {
 }
 
 // XeonW2195 returns the evaluation machine's parameters (§5.1): 32 KiB
-// per-core L1D, 1,024 KiB per-core L2, 25,344 KiB shared L3. Latencies and
-// the base CPI approximate Skylake-SP single-thread behaviour.
+// per-core L1D, 1,024 KiB per-core L2, 25,344 KiB shared L3. The
+// simulated L3 holds 22,528 KiB, because its 36,864 sets round down to
+// 32,768 (see the package comment). Latencies and the base CPI
+// approximate Skylake-SP single-thread behaviour.
 func XeonW2195() Config {
 	return Config{
 		L1:          LevelConfig{Name: "L1D", Size: 32 << 10, Ways: 8, Latency: 0},
@@ -210,111 +170,99 @@ func XeonW2195() Config {
 
 // Hierarchy simulates the full data-side memory system.
 type Hierarchy struct {
-	cfg  Config
-	l1   *Level
-	l2   *Level
-	l3   *Level
-	tlb  *TLB
-	stlb *TLB
-
+	cfg        Config
+	l1, l2, l3 lru
+	tlb, stlb  lru // stlb has no tags when Config.STLB is disabled
 	memAccess  uint64
 	stallCycle uint64
 }
 
-// New builds a hierarchy from the config.
+// New builds a hierarchy from the config. A level's set count is
+// Size/LineSize/Ways, a TLB's Entries/Ways, each rounded down to a power
+// of two.
 func New(cfg Config) *Hierarchy {
 	if cfg.PrefetchDeg == 0 {
 		cfg.PrefetchDeg = 1
 	}
+	level := func(c LevelConfig) lru { return newLRU(int(c.Size)/LineSize/c.Ways, c.Ways) }
 	h := &Hierarchy{
 		cfg: cfg,
-		l1:  NewLevel(cfg.L1),
-		l2:  NewLevel(cfg.L2),
-		l3:  NewLevel(cfg.L3),
-		tlb: NewTLB(cfg.TLB),
+		l1:  level(cfg.L1),
+		l2:  level(cfg.L2),
+		l3:  level(cfg.L3),
+		tlb: newLRU(cfg.TLB.Entries/cfg.TLB.Ways, cfg.TLB.Ways),
 	}
 	if cfg.STLB.Entries > 0 {
-		h.stlb = NewTLB(cfg.STLB)
+		h.stlb = newLRU(cfg.STLB.Entries/cfg.STLB.Ways, cfg.STLB.Ways)
 	}
 	return h
 }
 
-// Access runs one program load or store through the hierarchy, charging
-// stall cycles for the miss path. Accesses that straddle a line boundary
-// touch both lines, as on real hardware.
-func (h *Hierarchy) Access(addr uint64, size uint8, write bool) {
-	stall, mem := h.accessStall(addr, size)
-	h.stallCycle += stall
-	h.memAccess += mem
-}
-
-// accessStall simulates one access and returns the stall cycles and DRAM
-// accesses it cost instead of charging them, so batch consumers can
-// accumulate the charges in locals and write them back once per batch.
-// Level and TLB hit/miss counters still update in place: they are updated
-// exactly once per lookup either way, so their totals are bit-identical.
-func (h *Hierarchy) accessStall(addr uint64, size uint8) (stall, mem uint64) {
-	stall, mem = h.linesStall(addr, size)
-	page := addr >> h.cfg.TLB.PageBits
-	stall += h.translate(page)
-	if lastPage := (addr + uint64(size) - 1) >> h.cfg.TLB.PageBits; lastPage != page {
-		stall += h.translate(lastPage)
-	}
-	return stall, mem
-}
-
-// linesStall charges the cache-line side of one access (no translation).
-func (h *Hierarchy) linesStall(addr uint64, size uint8) (stall, mem uint64) {
-	first := addr >> LineShift
-	last := (addr + uint64(size) - 1) >> LineShift
-	for line := first; line <= last; line++ {
-		s, m := h.accessLine(line)
-		stall += s
-		mem += m
-	}
-	return stall, mem
-}
-
 // ConsumeEvents implements vm.EventSink: the hierarchy drains the VM's
 // batched event stream directly, simulating each load and store in batch
-// order and ignoring the non-access records. This replaces the per-access
-// virtual dispatch of the Hooks-era adapter in internal/measure. The
-// hierarchy-wide charge counters accumulate in locals across the whole
-// batch and are written back once, so the hot loop's read-modify-write
-// traffic on the Hierarchy stays out of the per-event path.
+// order and ignoring the non-access records. An access that straddles a
+// line boundary touches both lines, and one that straddles a page boundary
+// translates both pages, as on real hardware. The hierarchy-wide charges
+// accumulate in locals across the batch and are written back once.
 //
-// Page translation is shared across the batch, mirroring the VM's software
-// TLB on the execution side: after an access translates page P, P sits at
-// the MRU slot of its DTLB set, so a repeat lookup by the next access is a
-// guaranteed hit whose MRU move is a no-op. Runs of same-page accesses —
-// the common case the VM's own TLB exploits — therefore charge the hit
-// counters directly and skip the set scan, with totals provably
-// bit-identical to the per-access path (TestBatchedConsumeMatchesPerAccess
-// pins this).
+// Two shortcuts skip set scans whose outcome is already known. Both rest
+// on one invariant: a lookup leaves its key at the MRU way of its set, and
+// between two accesses nothing touches L1 or the DTLB (the prefetcher
+// fills only L2 and L3, and non-access records are skipped). So after an
+// access, its last line sits at L1's MRU way and its last translated page
+// at the DTLB's MRU way, where a repeat lookup is a hit whose MRU move is
+// a no-op.
+//
+//   - Same line: an access lying within one line and one page that equal
+//     the previous access's last line and last translated page is an L1
+//     hit and a DTLB hit. It is counted as both, charged L1's latency,
+//     and scans nothing. Page numbers are compared directly, so configs
+//     whose pages are smaller than a line stay exact.
+//   - Same page: an access lying within the last translated page is a
+//     DTLB hit; only its lines are looked up.
+//
+// Counters and stall cycles are bit-identical to looking up every line
+// and page (oracle_test.go's reference hierarchy pins this).
+//
+//halo:hot
 func (h *Hierarchy) ConsumeEvents(batch []vm.Event) {
-	var stall, mem uint64
-	last := ^uint64(0) // most recently translated page; ^0 = none yet
+	var stall, mem, same uint64
+	lastLine, lastPage := ^uint64(0), ^uint64(0) // none yet: no line is ^0
 	pb := h.cfg.TLB.PageBits
 	for i := range batch {
 		ev := &batch[i]
 		if ev.Kind != vm.EvAccess {
 			continue
 		}
-		page := ev.Addr >> pb
-		if end := (ev.Addr + uint64(ev.Size) - 1) >> pb; page == last && end == page {
-			h.tlb.stats.Accesses++
-			h.tlb.stats.Hits++
-			s, m := h.linesStall(ev.Addr, ev.Size)
-			stall += s
-			mem += m
+		end := ev.Addr + uint64(ev.Size) - 1
+		first, last := ev.Addr>>LineShift, end>>LineShift
+		page, endPage := ev.Addr>>pb, end>>pb
+		if first == lastLine && last == first && page == lastPage && endPage == page {
+			same++
 			continue
 		}
-		s, m := h.accessStall(ev.Addr, ev.Size)
-		stall += s
-		mem += m
-		last = (ev.Addr + uint64(ev.Size) - 1) >> pb
+		for line := first; line <= last; line++ {
+			s, m := h.accessLine(line)
+			stall += s
+			mem += m
+		}
+		lastLine = last
+		if page == lastPage && endPage == page {
+			h.tlb.stats.Accesses++
+			h.tlb.stats.Hits++
+			continue
+		}
+		stall += h.translate(page)
+		if endPage != page {
+			stall += h.translate(endPage)
+		}
+		lastPage = endPage
 	}
-	h.stallCycle += stall
+	h.tlb.stats.Accesses += same
+	h.tlb.stats.Hits += same
+	h.l1.stats.Accesses += same
+	h.l1.stats.Hits += same
+	h.stallCycle += stall + same*h.cfg.L1.Latency
 	h.memAccess += mem
 }
 
@@ -324,7 +272,7 @@ func (h *Hierarchy) translate(page uint64) (stall uint64) {
 	if h.tlb.access(page) {
 		return 0
 	}
-	if h.stlb != nil {
+	if h.stlb.tags != nil {
 		if h.stlb.access(page) {
 			return h.cfg.TLB.Penalty
 		}
@@ -334,13 +282,13 @@ func (h *Hierarchy) translate(page uint64) (stall uint64) {
 }
 
 func (h *Hierarchy) accessLine(line uint64) (stall, mem uint64) {
-	if h.l1.access(line, true) {
+	if h.l1.access(line) {
 		return h.cfg.L1.Latency, 0
 	}
-	if h.l2.access(line, true) {
+	if h.l2.access(line) {
 		return h.cfg.L2.Latency, 0
 	}
-	if h.l3.access(line, true) {
+	if h.l3.access(line) {
 		stall = h.cfg.L3.Latency
 	} else {
 		stall = h.cfg.MemLatency
@@ -348,12 +296,13 @@ func (h *Hierarchy) accessLine(line uint64) (stall, mem uint64) {
 	}
 	if h.cfg.Prefetch {
 		// Next-line prefetcher at L2: on an L2 miss, pull the following
-		// line(s) into L2/L3 without charging stall cycles.
+		// line(s) into L2/L3 without charging stall cycles or counting
+		// the fills as accesses.
 		for d := 1; d <= h.cfg.PrefetchDeg; d++ {
 			next := line + uint64(d)
-			if !h.l2.Contains(next) {
-				h.l2.access(next, false)
-				h.l3.access(next, false)
+			if !h.l2.contains(next) {
+				h.l2.lookup(next)
+				h.l3.lookup(next)
 			}
 		}
 	}
@@ -372,17 +321,14 @@ type Stats struct {
 
 // Stats returns a snapshot of all counters.
 func (h *Hierarchy) Stats() Stats {
-	st := Stats{
-		L1D: h.l1.Stats(),
-		L2:  h.l2.Stats(),
-		L3:  h.l3.Stats(),
-		TLB: h.tlb.Stats(),
-		Mem: h.memAccess,
+	return Stats{
+		L1D:  h.l1.stats,
+		L2:   h.l2.stats,
+		L3:   h.l3.stats,
+		TLB:  h.tlb.stats,
+		STLB: h.stlb.stats,
+		Mem:  h.memAccess,
 	}
-	if h.stlb != nil {
-		st.STLB = h.stlb.Stats()
-	}
-	return st
 }
 
 // StallCycles reports accumulated memory stall cycles.

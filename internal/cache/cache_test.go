@@ -6,6 +6,11 @@ import (
 	"halo/internal/vm"
 )
 
+// access runs one load or store through the hierarchy as a one-event batch.
+func access(h *Hierarchy, addr uint64, size uint8) {
+	h.ConsumeEvents([]vm.Event{{Kind: vm.EvAccess, Addr: addr, Size: size}})
+}
+
 func smallConfig() Config {
 	return Config{
 		L1:         LevelConfig{Name: "L1D", Size: 1 << 10, Ways: 2, Latency: 0}, // 8 sets
@@ -21,12 +26,12 @@ func smallConfig() Config {
 
 func TestColdMissThenHit(t *testing.T) {
 	h := New(smallConfig())
-	h.Access(0x1000, 8, false)
+	access(h, 0x1000, 8)
 	s := h.Stats()
 	if s.L1D.Misses != 1 || s.L1D.Hits != 0 {
 		t.Fatalf("cold access: %+v", s.L1D)
 	}
-	h.Access(0x1000, 8, false)
+	access(h, 0x1000, 8)
 	s = h.Stats()
 	if s.L1D.Hits != 1 {
 		t.Fatalf("warm access missed: %+v", s.L1D)
@@ -35,8 +40,8 @@ func TestColdMissThenHit(t *testing.T) {
 
 func TestSameLineSharing(t *testing.T) {
 	h := New(smallConfig())
-	h.Access(0x1000, 8, true)
-	h.Access(0x1008, 8, false) // same 64-byte line
+	access(h, 0x1000, 8)
+	access(h, 0x1008, 8) // same 64-byte line
 	s := h.Stats()
 	if s.L1D.Misses != 1 || s.L1D.Hits != 1 {
 		t.Fatalf("line sharing broken: %+v", s.L1D)
@@ -45,7 +50,7 @@ func TestSameLineSharing(t *testing.T) {
 
 func TestLineStraddle(t *testing.T) {
 	h := New(smallConfig())
-	h.Access(0x103C, 8, false) // crosses the 0x1040 line boundary
+	access(h, 0x103C, 8) // crosses the 0x1040 line boundary
 	s := h.Stats()
 	if s.L1D.Accesses != 2 {
 		t.Fatalf("straddling access touched %d lines, want 2", s.L1D.Accesses)
@@ -59,11 +64,11 @@ func TestLRUEviction(t *testing.T) {
 	// L1: 8 sets x 2 ways. Three lines in the same set evict the LRU.
 	setStride := uint64(8 * 64)
 	a, b, c := uint64(0), setStride, 2*setStride
-	h.Access(a, 8, false)
-	h.Access(b, 8, false)
-	h.Access(c, 8, false) // evicts a
-	h.Access(b, 8, false) // hit
-	h.Access(a, 8, false) // miss again
+	access(h, a, 8)
+	access(h, b, 8)
+	access(h, c, 8) // evicts a
+	access(h, b, 8) // hit
+	access(h, a, 8) // miss again
 	s := h.Stats()
 	if s.L1D.Misses != 4 || s.L1D.Hits != 1 {
 		t.Fatalf("LRU behaviour: %+v", s.L1D)
@@ -74,13 +79,13 @@ func TestMissPathReachesMemory(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Prefetch = false
 	h := New(cfg)
-	h.Access(0x5000, 8, false)
+	access(h, 0x5000, 8)
 	s := h.Stats()
 	if s.L2.Misses != 1 || s.L3.Misses != 1 || s.Mem != 1 {
 		t.Fatalf("miss path: %+v", s)
 	}
 	// A second access hits in L1; lower levels see no traffic.
-	h.Access(0x5000, 8, false)
+	access(h, 0x5000, 8)
 	s2 := h.Stats()
 	if s2.L2.Accesses != s.L2.Accesses {
 		t.Fatal("L1 hit leaked to L2")
@@ -94,10 +99,10 @@ func TestL2HitAfterL1Eviction(t *testing.T) {
 	// Fill one L1 set with 3 lines; the first goes to L2-only residence.
 	setStride := uint64(8 * 64)
 	for i := uint64(0); i < 3; i++ {
-		h.Access(i*setStride, 8, false)
+		access(h, i*setStride, 8)
 	}
 	before := h.Stats().L2.Hits
-	h.Access(0, 8, false) // L1 miss, L2 hit
+	access(h, 0, 8) // L1 miss, L2 hit
 	if h.Stats().L2.Hits != before+1 {
 		t.Fatalf("expected L2 hit: %+v", h.Stats())
 	}
@@ -107,8 +112,8 @@ func TestPrefetchNextLine(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Prefetch = true
 	h := New(cfg)
-	h.Access(0x8000, 8, false) // miss; prefetches 0x8040 into L2
-	h.Access(0x8040, 8, false) // L1 miss but L2 hit thanks to prefetch
+	access(h, 0x8000, 8) // miss; prefetches 0x8040 into L2
+	access(h, 0x8040, 8) // L1 miss but L2 hit thanks to prefetch
 	s := h.Stats()
 	if s.L2.Hits == 0 {
 		t.Fatalf("prefetch ineffective: %+v", s)
@@ -122,12 +127,12 @@ func TestTLBTwoLevels(t *testing.T) {
 	h := New(smallConfig())
 	// Touch 5 pages: DTLB (4 entries) overflows, STLB (16) holds all.
 	for p := uint64(0); p < 5; p++ {
-		h.Access(p*4096, 8, false)
+		access(h, p*4096, 8)
 	}
 	base := h.StallCycles()
 	// Revisit page 0: the DTLB misses but the STLB holds the entry, so
 	// no full page walk (70 cycles) is charged.
-	h.Access(0, 8, false)
+	access(h, 0, 8)
 	delta := h.StallCycles() - base
 	if delta >= 70 {
 		t.Fatalf("page walk charged (%d cycles) despite STLB residency", delta)
@@ -147,7 +152,7 @@ func TestTLBTwoLevels(t *testing.T) {
 func TestCycleModelMonotone(t *testing.T) {
 	h := New(smallConfig())
 	c0 := h.Cycles(1000)
-	h.Access(0x9000, 8, false) // adds stall cycles
+	access(h, 0x9000, 8) // adds stall cycles
 	c1 := h.Cycles(1000)
 	if c1 <= c0 {
 		t.Fatalf("stalls did not increase cycles: %d -> %d", c0, c1)
@@ -157,128 +162,93 @@ func TestCycleModelMonotone(t *testing.T) {
 	}
 }
 
+// TestXeonW2195Geometry pins the simulated geometry of each level. Set
+// counts round down to a power of two, so the 25,344 KiB 11-way L3 (36,864
+// sets) is simulated with 32,768 sets: 22,528 KiB.
 func TestXeonW2195Geometry(t *testing.T) {
 	cfg := XeonW2195()
-	l1 := NewLevel(cfg.L1)
-	if l1.sets != 64 {
-		t.Fatalf("L1 sets = %d, want 64 (32KiB/64B/8-way)", l1.sets)
-	}
-	l2 := NewLevel(cfg.L2)
-	if l2.sets != 1024 {
-		t.Fatalf("L2 sets = %d, want 1024", l2.sets)
+	h := New(cfg)
+	for _, c := range []struct {
+		name       string
+		lru        lru
+		sets, ways int
+		unit       int // bytes per way: a line, or one TLB entry
+		capacity   int
+	}{
+		{"L1D", h.l1, 64, 8, LineSize, 32 << 10},
+		{"L2", h.l2, 1024, 16, LineSize, 1024 << 10},
+		{"L3", h.l3, 32768, 11, LineSize, 22528 << 10},
+		{"DTLB", h.tlb, 16, 4, 1, 64},
+		{"STLB", h.stlb, 128, 12, 1, 1536},
+	} {
+		sets := int(c.lru.mask) + 1
+		if sets != c.sets || c.lru.ways != c.ways || len(c.lru.tags) != sets*c.ways {
+			t.Errorf("%s: %d sets x %d ways (%d tags), want %d x %d",
+				c.name, sets, c.lru.ways, len(c.lru.tags), c.sets, c.ways)
+		}
+		if got := len(c.lru.tags) * c.unit; got != c.capacity {
+			t.Errorf("%s: effective capacity %d, want %d", c.name, got, c.capacity)
+		}
 	}
 	if cfg.L3.Size != 25344<<10 {
-		t.Fatalf("L3 size = %d", cfg.L3.Size)
+		t.Fatalf("L3 configured size = %d, want the W-2195's 25,344 KiB", cfg.L3.Size)
 	}
 }
 
 func TestStatsString(t *testing.T) {
 	h := New(smallConfig())
-	h.Access(0, 8, false)
+	access(h, 0, 8)
 	if s := h.Stats().String(); len(s) == 0 {
 		t.Fatal("empty stats string")
 	}
 }
 
 func TestBatchedConsumeMatchesPerAccess(t *testing.T) {
-	// The batched ConsumeEvents path accumulates stall/DRAM charges in
-	// locals and writes them back once per batch; it must land on exactly
-	// the same counters as charging every access individually.
-	mkEvents := func() []vm.Event {
-		rng := uint64(42)
-		next := func() uint64 {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return rng
-		}
-		evs := make([]vm.Event, 0, 20000)
-		for i := 0; i < 20000; i++ {
-			// Mix of hot lines, straddles and page-crossing strides.
-			addr := (next() % (1 << 20)) &^ 1
-			size := uint8(1 << (next() % 4))
-			if next()%16 == 0 {
-				addr = addr&^0xfff | 0xffe // straddle a page boundary
-			}
-			kind := vm.EvAccess
-			if next()%32 == 0 {
-				kind = vm.EvCall // non-access records must be ignored
-			}
-			evs = append(evs, vm.Event{Kind: kind, Addr: addr, Size: size, Write: next()%3 == 0})
-		}
-		return evs
+	// Random hot lines, line and page straddles and non-access records:
+	// ConsumeEvents, at every batch size, must land on exactly the
+	// counters of the reference hierarchy's one-access-at-a-time walk.
+	rng := uint64(42)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
 	}
-
-	ref := New(smallConfig())
-	for _, ev := range mkEvents() {
-		if ev.Kind == vm.EvAccess {
-			ref.Access(ev.Addr, ev.Size, ev.Write)
+	evs := make([]vm.Event, 0, 20000)
+	for i := 0; i < 20000; i++ {
+		addr := (next() % (1 << 20)) &^ 1
+		size := uint8(1 << (next() % 4))
+		if next()%16 == 0 {
+			addr = addr&^0xfff | 0xffe // straddle a page boundary
 		}
+		kind := vm.EvAccess
+		if next()%32 == 0 {
+			kind = vm.EvCall // non-access records must be ignored
+		}
+		evs = append(evs, vm.Event{Kind: kind, Addr: addr, Size: size, Write: next()%3 == 0})
 	}
-
-	for _, batchSize := range []int{1, 64, 4096} {
-		h := New(smallConfig())
-		evs := mkEvents()
-		for len(evs) > 0 {
-			n := batchSize
-			if n > len(evs) {
-				n = len(evs)
-			}
-			h.ConsumeEvents(evs[:n])
-			evs = evs[n:]
-		}
-		if h.Stats() != ref.Stats() {
-			t.Errorf("batch=%d: stats diverge:\n got %+v\nwant %+v", batchSize, h.Stats(), ref.Stats())
-		}
-		if h.StallCycles() != ref.StallCycles() {
-			t.Errorf("batch=%d: stalls %d, want %d", batchSize, h.StallCycles(), ref.StallCycles())
-		}
-	}
+	checkAgainstOracle(t, smallConfig(), evs)
 }
 
 func TestBatchedSharedTranslationRuns(t *testing.T) {
-	// Dense same-page runs — the case the batched path serves via the
-	// shared translation (MRU repeat-hit) instead of a TLB set scan —
-	// interleaved with page straddles and slot-colliding strides. Totals
-	// must match the per-access reference exactly.
-	mkEvents := func() []vm.Event {
-		evs := make([]vm.Event, 0, 12000)
-		base := uint64(0x10_0000)
-		for r := 0; r < 100; r++ {
-			page := base + uint64(r%7)*0x1000
-			for i := 0; i < 50; i++ { // long same-page run
-				evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: page + uint64(i*8)%0xff8, Size: 8})
-			}
-			// Page straddle: translates two pages, leaves the second MRU.
-			evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: page + 0xffe, Size: 4})
-			// Immediately touch the straddle's second page: fast path again.
-			evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: page + 0x1000, Size: 8})
-			// Colliding stride: same TLB set, different page.
-			evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: page + 64*0x1000, Size: 8})
+	// Dense same-line and same-page runs — the cases ConsumeEvents serves
+	// without a set scan — interleaved with page straddles and
+	// set-colliding strides.
+	evs := make([]vm.Event, 0, 12000)
+	base := uint64(0x10_0000)
+	for r := 0; r < 100; r++ {
+		page := base + uint64(r%7)*0x1000
+		for i := 0; i < 50; i++ { // long same-page run, eight accesses per line
+			evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: page + uint64(i*8)%0xff8, Size: 8})
 		}
-		return evs
+		// Page straddle: translates two pages, leaves the second MRU.
+		evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: page + 0xffe, Size: 4})
+		// The straddle's last line and page again: the same-line path.
+		evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: page + 0x1000, Size: 1})
+		// The straddle's second page, next line: the same-page path.
+		evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: page + 0x1040, Size: 8})
+		// Colliding stride: same TLB set, different page.
+		evs = append(evs, vm.Event{Kind: vm.EvAccess, Addr: page + 64*0x1000, Size: 8})
 	}
-
-	ref := New(smallConfig())
-	for _, ev := range mkEvents() {
-		ref.Access(ev.Addr, ev.Size, ev.Write)
-	}
-	for _, batchSize := range []int{1, 64, 4096} {
-		h := New(smallConfig())
-		evs := mkEvents()
-		for len(evs) > 0 {
-			n := batchSize
-			if n > len(evs) {
-				n = len(evs)
-			}
-			h.ConsumeEvents(evs[:n])
-			evs = evs[n:]
-		}
-		if h.Stats() != ref.Stats() {
-			t.Errorf("batch=%d: stats diverge:\n got %+v\nwant %+v", batchSize, h.Stats(), ref.Stats())
-		}
-		if h.StallCycles() != ref.StallCycles() {
-			t.Errorf("batch=%d: stalls %d, want %d", batchSize, h.StallCycles(), ref.StallCycles())
-		}
-	}
+	checkAgainstOracle(t, smallConfig(), evs)
 }
