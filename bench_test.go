@@ -339,8 +339,8 @@ func BenchmarkProfileThroughput(b *testing.B) {
 // selector identification, selector lowering and the hot-data-streams
 // policy — over a prerecorded profile, with profiling taken out of the
 // loop. This is the wall-clock a `halo opt -profile` / halod job pays on
-// top of profile decoding, and the number the halobench -json "synthesis"
-// section tracks per workload.
+// top of profile decoding; perfbench's group, identify, rewrite and hds
+// layer metrics split the same cost by stage.
 func BenchmarkSynthesis(b *testing.B) {
 	for _, name := range []string{"povray", "omnetpp"} {
 		b.Run(name, func(b *testing.B) {
@@ -378,8 +378,7 @@ func BenchmarkSynthesis(b *testing.B) {
 
 // BenchmarkMeasureTrials measures the parallel trial harness end to end:
 // warm-up plus four measured trials of the baseline policy, fanned out
-// over the worker pool (ns/op here is the number the halobench -json
-// trajectory tracks per workload×technique).
+// over the worker pool.
 func BenchmarkMeasureTrials(b *testing.B) {
 	w := workloads.MustGet("povray")
 	p := w.Build(w.TestScale)
@@ -389,23 +388,6 @@ func BenchmarkMeasureTrials(b *testing.B) {
 		if _, err := measure.MeasureTrials(p, measure.Policy{Kind: measure.Jemalloc}, 4, 1000, machine); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkVMInterpreter measures raw interpretation speed without an
-// event sink attached.
-func BenchmarkVMInterpreter(b *testing.B) {
-	w := workloads.MustGet("art")
-	p := w.Build(w.TestScale)
-	machine := cache.XeonW2195()
-	_ = machine
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := measure.Run(p, measure.Policy{Kind: measure.Jemalloc}, 1, cache.XeonW2195())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(r.Steps))
 	}
 }
 

@@ -17,16 +17,13 @@
 //
 // The -json document carries the rendered tables plus one flat result
 // record per measured workload×technique pair (miss reduction, speedup,
-// simulated seconds, ns/op — the wall-clock of one serial measurement
-// run, timed outside the worker pools — and a regressed flag set when the
-// technique measurably increased misses or time over its baseline),
-// per-workload profiling throughput
-// (events consumed by the training run's profiler and events/sec), a
-// per-workload "synthesis" section (the wall-clock of turning the training
-// profile into groups, selectors and the HDS policy), a "metrics" section
-// (a snapshot of the process metrics registry plus per-workload pipeline
-// stage spans), and the sweep's wall-clock — the format the repository's
-// BENCH_*.json trajectory records.
+// simulated seconds, and a regressed flag set when the verdict the tables
+// print reads REGRESSED), a "metrics" section (a snapshot of the process
+// metrics registry plus each workload's pipeline stage spans: profile,
+// group, identify, rewrite, lower, hds/sequitur, hds/sets and
+// hds/setpack), and the sweep's wall-clock. Per-layer throughput is
+// perfbench's job (perfbench/README.md); this document records what the
+// experiments found.
 package main
 
 import (
@@ -58,8 +55,6 @@ type jsonDoc struct {
 	Parallel  int                       `json:"parallel"`
 	Workloads []string                  `json:"workloads,omitempty"`
 	Results   []experiments.BenchResult `json:"results"`
-	Profiling []experiments.ProfileStat `json:"profiling"`
-	Synthesis []experiments.SynthStat   `json:"synthesis"`
 	Metrics   jsonMetrics               `json:"metrics"`
 	Tables    []*experiments.Table      `json:"tables"`
 	WallNs    int64                     `json:"wall_ns"`
@@ -113,8 +108,6 @@ func main() {
 			Parallel:  *parallel,
 			Workloads: opts.Workloads,
 			Results:   engine.BenchResults(),
-			Profiling: engine.ProfileStats(),
-			Synthesis: engine.SynthesisStats(),
 			Metrics: jsonMetrics{
 				Global: obs.Default.Snapshot(),
 				Stages: engine.StageStats(),

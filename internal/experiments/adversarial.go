@@ -13,27 +13,28 @@ import (
 // two interquartile ranges do not overlap.
 func below(a, b measure.Quartiles) bool { return a.P75 < b.P25 }
 
-// regressed reports whether s measurably hurt against base: more L1D
-// misses or more cycle-model time, beyond the trials' noise band.
-func regressed(base, s measure.Summary) bool {
-	return below(base.L1DMiss, s.L1DMiss) || below(base.Seconds, s.Seconds)
-}
-
 // verdictOf classifies s against base on both L1D misses and cycle-model
-// time. defeated: grouping never engaged. REGRESSED: either metric
-// measurably worse. helped: either metric measurably better and neither
-// worse. neutral: both differences inside the noise band.
+// time. It is the one verdict every table and BenchResult reports.
+// defeated: the group allocator served allocations but grouped none.
+// REGRESSED: either metric measurably worse. helped: either metric
+// measurably better and neither worse. neutral: both differences inside
+// the noise band.
 func verdictOf(base, s measure.Summary) string {
 	switch {
-	case s.Median.GroupedAllocs == 0:
+	case s.Median.GroupedAllocs == 0 && s.Median.ForwardedAlloc > 0:
 		return "defeated"
-	case regressed(base, s):
+	case below(base.L1DMiss, s.L1DMiss) || below(base.Seconds, s.Seconds):
 		return "REGRESSED"
 	case below(s.L1DMiss, base.L1DMiss) || below(s.Seconds, base.Seconds):
 		return "helped"
 	}
 	return "neutral"
 }
+
+// verdictNote explains verdictOf's column in every table that prints it.
+const verdictNote = "verdict: a difference counts when the trials' interquartile ranges do not overlap; " +
+	"helped = fewer misses or less time and neither worse; REGRESSED = more misses or more time; " +
+	"neutral = no difference; defeated = grouping never engaged"
 
 // Adversarial evaluates the hostile-heap workload family end to end: each
 // generated scenario runs the full pipeline and is measured HALO vs the
@@ -50,10 +51,7 @@ func (e *Engine) Adversarial() (*Table, error) {
 		Columns: []string{"workload", "grouped allocs", "miss reduction (%)",
 			"speedup (%)", "frag@peak (%)", "verdict", "corruption"},
 	}
-	t.Notes = append(t.Notes,
-		"verdict: a difference counts when the trials' interquartile ranges do not overlap; "+
-			"helped = fewer misses or less time and neither worse; REGRESSED = more misses or more time; "+
-			"neutral = no difference; defeated = grouping never engaged",
+	t.Notes = append(t.Notes, verdictNote,
 		"corruption: the scenario's heap-op stream replayed under the shadow-heap oracle (clean = zero findings)")
 	rows := make([][]string, len(list))
 	err := e.forEachWorkload(list, func(i int, w workloads.Workload) error {

@@ -26,7 +26,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"halo/internal/cache"
 	"halo/internal/core"
@@ -137,11 +136,7 @@ type artefacts struct {
 	opt *core.Optimized
 	hds *hds.Result
 
-	profEvents uint64     // VM events the training run's profiler consumed
-	profWallNs int64      // wall-clock of the training run
-	synthOptNs int64      // wall-clock of OptimizeFromProfile (group+identify+rewrite)
-	synthHDSNs int64      // wall-clock of the hot-data-streams analysis
-	stages     []obs.Span // per-stage spans of the pipeline run
+	stages []obs.Span // per-stage spans of the pipeline run
 
 	refProg *isa.Program
 	polBase measure.Policy
@@ -160,10 +155,9 @@ type Engine struct {
 	opts    Options
 	machine cache.Config
 
-	mu     sync.Mutex
-	arts   map[string]*artefacts
-	sums   map[string]measure.Summary
-	wallNs map[string]int64 // harness wall-clock per summaryFor key
+	mu   sync.Mutex
+	arts map[string]*artefacts
+	sums map[string]measure.Summary
 }
 
 // NewEngine builds an experiment engine.
@@ -173,7 +167,6 @@ func NewEngine(opts Options) *Engine {
 		machine: cache.XeonW2195(),
 		arts:    map[string]*artefacts{},
 		sums:    map[string]measure.Summary{},
-		wallNs:  map[string]int64{},
 	}
 }
 
@@ -265,24 +258,18 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 	tr := obs.NewTrace()
 	cfg.Trace = tr
 	testProg := w.Build(w.TestScale)
-	profStart := time.Now()
 	prof, err := core.Profile(testProg, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	profWall := time.Since(profStart)
-	optStart := time.Now()
 	opt, err := core.OptimizeFromProfile(testProg, prof, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	optWall := time.Since(optStart)
-	hdsStart := time.Now()
 	hr, err := core.AnalyzeHDS(opt.Profile, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s hds: %w", w.Name, err)
 	}
-	hdsWall := time.Since(hdsStart)
 	e.opts.logf("[%s] %d graph nodes, %d groups, %d sites; hds: %d rules, %d hot streams, %d sets",
 		w.Name, opt.Profile.Graph.NumNodes(), len(opt.Groups), len(opt.Selectors.Sites),
 		hr.Rules, hr.Streams, len(hr.Sets))
@@ -295,18 +282,14 @@ func (e *Engine) artefactsFor(w workloads.Workload) (*artefacts, error) {
 
 	hc := hallocConfig(w)
 	a = &artefacts{
-		w:          w,
-		opt:        opt,
-		hds:        hr,
-		profEvents: prof.Events,
-		profWallNs: profWall.Nanoseconds(),
-		synthOptNs: optWall.Nanoseconds(),
-		synthHDSNs: hdsWall.Nanoseconds(),
-		stages:     tr.Spans(),
-		refProg:    refProg,
-		polBase:    measure.Policy{Kind: measure.Jemalloc},
-		polPt:      measure.Policy{Kind: measure.Ptmalloc},
-		polHALO:    polHALO,
+		w:       w,
+		opt:     opt,
+		hds:     hr,
+		stages:  tr.Spans(),
+		refProg: refProg,
+		polBase: measure.Policy{Kind: measure.Jemalloc},
+		polPt:   measure.Policy{Kind: measure.Ptmalloc},
+		polHALO: polHALO,
 		polHDS: measure.Policy{
 			Kind:       measure.HDS,
 			SiteGroups: hr.SiteGroups,
@@ -361,9 +344,7 @@ func (e *Engine) trialWorkers() int {
 	return 1
 }
 
-// summaryFor measures (with caching) one workload under one policy, and
-// times one additional serial run so BenchResults can report a per-run
-// ns/op that does not depend on either pool's width.
+// summaryFor measures (with caching) one workload under one policy.
 func (e *Engine) summaryFor(a *artefacts, label string, pol measure.Policy) (measure.Summary, error) {
 	key := a.w.Name + "/" + label
 	e.mu.Lock()
@@ -377,19 +358,11 @@ func (e *Engine) summaryFor(a *artefacts, label string, pol measure.Policy) (mea
 	if err != nil {
 		return measure.Summary{}, fmt.Errorf("%s/%s: %w", a.w.Name, label, err)
 	}
-	// ns/op: a single dedicated run (the first measured trial's seed),
-	// timed on this goroutine — per-run cost, not pool throughput.
-	start := time.Now()
-	if _, err := measure.Run(a.refProg, pol, e.opts.Seed+1, e.machine); err != nil {
-		return measure.Summary{}, fmt.Errorf("%s/%s: %w", a.w.Name, label, err)
-	}
-	elapsed := time.Since(start)
 	e.mu.Lock()
 	if prior, ok := e.sums[key]; ok {
 		s = prior
 	} else {
 		e.sums[key] = s
-		e.wallNs[key] = elapsed.Nanoseconds()
 	}
 	e.mu.Unlock()
 	return s, nil
@@ -404,9 +377,7 @@ func (e *Engine) forEachWorkload(list []workloads.Workload, fn func(i int, w wor
 
 // BenchResult is one machine-readable measurement: a workload under a
 // technique, compared against the jemalloc baseline measured in the same
-// sweep. NsPerOp is the harness wall-clock of one dedicated serial
-// measurement run (timed outside the worker pools, so it tracks the
-// engine's per-run speed over time rather than pool throughput).
+// sweep.
 type BenchResult struct {
 	Workload         string  `json:"workload"`
 	Technique        string  `json:"technique"`
@@ -414,12 +385,9 @@ type BenchResult struct {
 	SpeedupPct       float64 `json:"speedup_pct"`
 	BaselineSeconds  float64 `json:"baseline_seconds"`
 	Seconds          float64 `json:"seconds"`
-	NsPerOp          int64   `json:"ns_per_op"`
-	// Regressed flags results where the technique measurably *hurt*: more
-	// L1D misses or more cycle-model time than the baseline, with the
-	// trials' interquartile ranges apart (the adversarial verdict's rule).
-	// Easy to miss in a wall of numbers, so it is surfaced explicitly here
-	// and in halobench's rendered table.
+	// Regressed flags results where the technique measurably *hurt*:
+	// verdictOf reads REGRESSED, the verdict fig13, fig14 and the
+	// adversarial table print.
 	Regressed bool `json:"regressed"`
 }
 
@@ -454,79 +422,9 @@ func (e *Engine) BenchResults() []BenchResult {
 			SpeedupPct:       measure.Improvement(base.Seconds.Median, s.Seconds.Median),
 			BaselineSeconds:  base.Seconds.Median,
 			Seconds:          s.Seconds.Median,
-			NsPerOp:          e.wallNs[k],
-			Regressed:        regressed(base, s),
+			Regressed:        verdictOf(base, s) == "REGRESSED",
 		})
 	}
-	return out
-}
-
-// ProfileStat is one workload's profiling throughput: how many VM events
-// the training run's profiler consumed and the wall-clock it took, the
-// events/sec trajectory the data-plane work is tracked by.
-type ProfileStat struct {
-	Workload     string  `json:"workload"`
-	Events       uint64  `json:"events"`
-	WallNs       int64   `json:"wall_ns"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// ProfileStats reports profiling throughput for every workload the
-// executed experiments profiled, sorted by workload. Call after Run.
-func (e *Engine) ProfileStats() []ProfileStat {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]ProfileStat, 0, len(e.arts))
-	for _, a := range e.arts {
-		s := ProfileStat{
-			Workload: a.w.Name,
-			Events:   a.profEvents,
-			WallNs:   a.profWallNs,
-		}
-		if a.profWallNs > 0 {
-			s.EventsPerSec = float64(a.profEvents) / (float64(a.profWallNs) / 1e9)
-		}
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Workload < out[j].Workload })
-	return out
-}
-
-// SynthStat is one workload's layout-synthesis cost: the wall-clock of
-// turning its training profile into groups, selectors and the HDS
-// co-allocation policy. This is the per-job cost a halod worker pays on
-// top of profiling (or profile decoding), and the trajectory the dense
-// parallel synthesis pipeline is tracked by.
-type SynthStat struct {
-	Workload   string `json:"workload"`
-	Groups     int    `json:"groups"`
-	Selectors  int    `json:"selectors"`
-	Sites      int    `json:"sites"`
-	HDSSets    int    `json:"hds_sets"`
-	OptimizeNs int64  `json:"optimize_ns"` // group + identify + rewrite + lower
-	HDSNs      int64  `json:"hds_ns"`      // grammar + streams + set packing
-	WallNs     int64  `json:"wall_ns"`     // sum: the full synthesis stage
-}
-
-// SynthesisStats reports synthesis cost for every workload the executed
-// experiments derived artefacts for, sorted by workload. Call after Run.
-func (e *Engine) SynthesisStats() []SynthStat {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]SynthStat, 0, len(e.arts))
-	for _, a := range e.arts {
-		out = append(out, SynthStat{
-			Workload:   a.w.Name,
-			Groups:     len(a.opt.Groups),
-			Selectors:  len(a.opt.Selectors.Selectors),
-			Sites:      len(a.opt.Selectors.Sites),
-			HDSSets:    len(a.hds.Sets),
-			OptimizeNs: a.synthOptNs,
-			HDSNs:      a.synthHDSNs,
-			WallNs:     a.synthOptNs + a.synthHDSNs,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Workload < out[j].Workload })
 	return out
 }
 

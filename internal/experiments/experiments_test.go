@@ -113,3 +113,47 @@ func TestFormatBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestFigureVerdictsAgree checks that fig13, fig14 and the JSON results
+// report one verdict per workload and technique: verdictOf's.
+func TestFigureVerdictsAgree(t *testing.T) {
+	e := quickEngine("art", "povray", "leela")
+	tabs, err := e.Run([]string{"fig13", "fig14"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := e.BenchResults()
+	if len(results) != 6 {
+		t.Fatalf("%d results, want HALO and HDS for 3 workloads", len(results))
+	}
+	column := map[string]string{"halo": "HALO verdict", "hds": "HDS verdict"}
+	seen := map[string]bool{}
+	for _, r := range results {
+		want := verdictOf(e.sums[r.Workload+"/jemalloc"], e.sums[r.Workload+"/"+r.Technique])
+		seen[want] = true
+		if r.Regressed != (want == "REGRESSED") {
+			t.Errorf("%s/%s: regressed=%v, verdict %s", r.Workload, r.Technique, r.Regressed, want)
+		}
+		for _, tab := range tabs {
+			col := -1
+			for i, c := range tab.Columns {
+				if c == column[r.Technique] {
+					col = i
+				}
+			}
+			if col < 0 {
+				t.Fatalf("%s has no %q column", tab.ID, column[r.Technique])
+			}
+			for _, row := range tab.Rows {
+				if row[0] == r.Workload && row[col] != want {
+					t.Errorf("%s %s/%s: cell %q, verdict %s", tab.ID, r.Workload, r.Technique, row[col], want)
+				}
+			}
+		}
+	}
+	// HDS on leela misses far more than the baseline; without a
+	// REGRESSED cell the agreement above would not cover the flag.
+	if !seen["REGRESSED"] {
+		t.Errorf("no REGRESSED verdict among %v", seen)
+	}
+}

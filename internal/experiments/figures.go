@@ -152,26 +152,21 @@ func (e *Engine) Fig13() (*Table, error) {
 	t := &Table{
 		ID:      "fig13",
 		Title:   "L1D cache miss reduction vs jemalloc baseline",
-		Columns: []string{"benchmark", "Chilimbi et al. (HDS)", "HALO", "baseline L1D misses", "regressed"},
+		Columns: []string{"benchmark", "Chilimbi et al. (HDS)", "HALO", "baseline L1D misses", "HDS verdict", "HALO verdict"},
 	}
 	for _, w := range list {
 		r := res[w.Name]
-		haloRed := measure.Improvement(r[0].L1DMiss.Median, r[1].L1DMiss.Median)
-		flag := "-"
-		if below(r[0].L1DMiss, r[1].L1DMiss) {
-			flag = "REGRESSED"
-		}
 		t.Rows = append(t.Rows, []string{
 			w.Name,
 			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].L1DMiss.Median, r[2].L1DMiss.Median)),
-			fmt.Sprintf("%+.2f%%", haloRed),
+			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].L1DMiss.Median, r[1].L1DMiss.Median)),
 			fmt.Sprintf("%.0f", r[0].L1DMiss.Median),
-			flag,
+			verdictOf(r[0], r[2]),
+			verdictOf(r[0], r[1]),
 		})
 	}
 	t.Notes = append(t.Notes,
-		"positive = fewer misses than the jemalloc-like baseline (paper Figure 13)",
-		"regressed = HALO increased misses, with the trials' interquartile ranges apart — see the adversarial experiment")
+		"positive = fewer misses than the jemalloc-like baseline (paper Figure 13)", verdictNote)
 	return t, nil
 }
 
@@ -184,7 +179,7 @@ func (e *Engine) Fig14() (*Table, error) {
 	t := &Table{
 		ID:      "fig14",
 		Title:   "Speedup vs jemalloc baseline (cycle model)",
-		Columns: []string{"benchmark", "Chilimbi et al. (HDS)", "HALO", "baseline time (s)"},
+		Columns: []string{"benchmark", "Chilimbi et al. (HDS)", "HALO", "baseline time (s)", "HDS verdict", "HALO verdict"},
 	}
 	for _, w := range list {
 		r := res[w.Name]
@@ -193,10 +188,12 @@ func (e *Engine) Fig14() (*Table, error) {
 			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].Seconds.Median, r[2].Seconds.Median)),
 			fmt.Sprintf("%+.2f%%", measure.Improvement(r[0].Seconds.Median, r[1].Seconds.Median)),
 			fmt.Sprintf("%.4f", r[0].Seconds.Median),
+			verdictOf(r[0], r[2]),
+			verdictOf(r[0], r[1]),
 		})
 	}
 	t.Notes = append(t.Notes,
-		"positive = faster than baseline; time from the simulator's cycle model (paper Figure 14)")
+		"positive = faster than baseline; time from the simulator's cycle model (paper Figure 14)", verdictNote)
 	return t, nil
 }
 
